@@ -49,7 +49,8 @@ object EvidenceToExplanations {
 final case class Explain3DNoOpt(cfg: ExplainSolver.Config = ExplainSolver.Config())
     extends Algorithm {
   val name = "EXPLAIN3D-NOOPT"
-  def derive(inst: Instance): ExplanationSet = ExplainSolver.solve(inst, cfg).explanations
+  def solve(inst: Instance): Solution = ExplainSolver.solve(inst, cfg)
+  def derive(inst: Instance): ExplanationSet = solve(inst).explanations
 }
 
 /** EXPLAIN3D with smart partitioning at a fixed batch size (BATCH-<n>). */
@@ -59,6 +60,7 @@ final case class Explain3DBatch(
     partCfg: repro.partition.PrePartition.Config = repro.partition.PrePartition.Config(),
 ) extends Algorithm {
   val name = s"EXPLAIN3D-BATCH-$batch"
-  def derive(inst: Instance): ExplanationSet =
-    SmartPartition.solve(inst, SmartPartition.Config(batch, partCfg), cfg).explanations
+  def solve(inst: Instance): Solution =
+    SmartPartition.solve(inst, SmartPartition.Config(batch, partCfg), cfg)
+  def derive(inst: Instance): ExplanationSet = solve(inst).explanations
 }

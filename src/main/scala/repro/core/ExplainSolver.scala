@@ -49,6 +49,7 @@ object ExplainSolver {
 
     var totalLogProb = 0.0
     var proved = true
+    var nodes = 0L
     val delta = Set.newBuilder[Long]
     val values = Map.newBuilder[Long, ValueChange]
     val evidence = Set.newBuilder[(Long, Long)]
@@ -76,6 +77,7 @@ object ExplainSolver {
         val comp = new Component(tuples.toVector, ms, hubSide, hubsCapped, p)
         val res = comp.solve(config.nodeCap, deadline)
         proved &&= res.proved
+        nodes += res.nodesUsed
         totalLogProb += res.logProb
         // Decode this component's incumbent.
         val selected = res.selectedEdges
@@ -95,7 +97,7 @@ object ExplainSolver {
     }
 
     val e = ExplanationSet(delta.result(), values.result(), evidence.result())
-    Solution(e, totalLogProb, proved)
+    Solution(e, totalLogProb, proved, nodes)
   }
 
   private final case class CompResult(
@@ -105,7 +107,22 @@ object ExplainSolver {
       nodesUsed: Long,
   )
 
-  /** Branch-and-bound over one connected component. */
+  /** Branch-and-bound over one connected component.
+    *
+    * Each node costs what it changed, not O(|E| + |T|):
+    *  - Branch order is static. An edge's branch score `eGain(e) + (b − u(leaf))`
+    *    never changes during a solve, so edges are sorted once by
+    *    (−score, index) and a node takes the first eligible edge in that
+    *    order — the highest score, lowest index on ties. Descending only
+    *    makes edges ineligible, so a child resumes the scan after its
+    *    parent's pick instead of at the start.
+    *  - The bound caches each leaf's optimistic lift and recomputes only
+    *    dirty leaves: selecting or undoing (l, h) dirties l and every leaf
+    *    adjacent to h, rejecting e dirties e's leaf. The lifts are summed
+    *    left to right over the leaves, the same order as a full rescan.
+    *  - The depth-first search keeps an explicit stack of decided edges, so
+    *    chains of any length run on the caller's thread.
+    */
   private final class Component(
       tuples: Vector[CTuple],
       ms: Vector[TupleMatch],
@@ -143,15 +160,48 @@ object ExplainSolver {
       bufs.map(_.toArray)
     }
 
+    /** Edges by descending branch score, ties by ascending index. */
+    private val order: Array[Int] = {
+      val score = Array.tabulate(nE)(e => eGain(e) + (b - uCost(eLeaf(e))))
+      Array.range(0, nE).sortWith((x, y) => score(x) > score(y) || (score(x) == score(y) && x < y))
+    }
+
     // Search state.
     private val eState = new Array[Byte](nE) // 0 undecided, 1 selected, 2 rejected
     private val selectedNow = new ArrayBuffer[Int] // currently selected edges (stack)
     private val leafSel = Array.fill(nT)(-1) // selected edge of a leaf, -1 = none
     private val hubCount = new Array[Int](nT)
     private val hubLeafSum = new Array[Double](nT)
+    // Edges force-rejected by the selects on the current path (stack).
+    private val forced = new Array[Int](nE)
+    private var nForced = 0
     // f = objective value if every undecided edge were rejected.
     private var f = ms.iterator.map(m => math.log(1 - m.p)).sum +
       tuples.indices.iterator.map(uCost).sum
+
+    // Bound cache: leaf-side tuples in index order, each one's optimistic
+    // lift (0 once selected), and the leaves whose lift is stale.
+    private val leaves: Array[Int] = (0 until nT).filter(!isHub(_)).toArray
+    private val leafPos: Array[Int] = {
+      val a = Array.fill(nT)(-1)
+      for (i <- leaves.indices) a(leaves(i)) = i
+      a
+    }
+    private val leafLift = new Array[Double](leaves.length)
+    private val dirty = Array.fill(leaves.length)(true)
+    private val dirtyStack = Array.range(0, leaves.length)
+    private var nDirty = leaves.length
+
+    private def markDirty(l: Int): Unit = {
+      val i = leafPos(l)
+      if (!dirty(i)) { dirty(i) = true; dirtyStack(nDirty) = i; nDirty += 1 }
+    }
+
+    private def markHubLeavesDirty(h: Int): Unit = {
+      val es = edgesAt(h)
+      var i = 0
+      while (i < es.length) { markDirty(eLeaf(es(i))); i += 1 }
+    }
 
     private def hubTerm(h: Int): Double =
       if (hubCount(h) == 0) uCost(h)
@@ -165,10 +215,18 @@ object ExplainSolver {
 
     private val allNonNeg = impact.forall(_ >= 0.0)
 
-    /** Selects edge e, returning the list of edges force-rejected. */
-    private def select(e: Int): (ArrayBuffer[Int], Double) = {
+    private def forceReject(es: Array[Int]): Unit = {
+      var i = 0
+      while (i < es.length) {
+        val o = es(i)
+        if (eState(o) == 0) { eState(o) = 2; forced(nForced) = o; nForced += 1 }
+        i += 1
+      }
+    }
+
+    /** Selects edge e and force-rejects the edges its degree caps exclude. */
+    private def select(e: Int): Unit = {
       val l = eLeaf(e); val h = eHub(e)
-      val fBefore = f
       f += eGain(e)
       f -= uCost(l) // leaf joins a star; its b is inside hubTerm's count
       f -= hubTerm(h)
@@ -178,82 +236,98 @@ object ExplainSolver {
       hubCount(h) += 1
       hubLeafSum(h) += impact(l)
       f += hubTerm(h)
-      val forced = new ArrayBuffer[Int]
-      for (o <- edgesAt(l) if eState(o) == 0) { eState(o) = 2; forced += o }
-      if (hubsCapped) for (o <- edgesAt(h) if eState(o) == 0) { eState(o) = 2; forced += o }
-      (forced, fBefore)
+      forceReject(edgesAt(l))
+      if (hubsCapped) forceReject(edgesAt(h))
+      markHubLeavesDirty(h) // l is among them
     }
 
-    private def undoSelect(e: Int, undo: (ArrayBuffer[Int], Double)): Unit = {
+    /** Reverts `select(e)`: un-rejects the edges forced since stack height
+      * `forcedFrom` and restores f to `fBefore`.
+      */
+    private def undoSelect(e: Int, forcedFrom: Int, fBefore: Double): Unit = {
       val l = eLeaf(e); val h = eHub(e)
-      undo._1.foreach(o => eState(o) = 0)
+      while (nForced > forcedFrom) { nForced -= 1; eState(forced(nForced)) = 0 }
       eState(e) = 0
       selectedNow.dropRightInPlace(1)
       leafSel(l) = -1
       hubCount(h) -= 1
       hubLeafSum(h) -= impact(l)
-      f = undo._2
+      f = fBefore
+      markHubLeavesDirty(h) // l is among them
     }
 
-    /** Optimistic improvement achievable from the current state: per capped
-      * leaf with remaining capacity, the best undecided edge's gain plus the
-      * largest tuple-cost lifts it could unlock.
+    private def setRejected(e: Int, rejected: Boolean): Unit = {
+      eState(e) = if (rejected) 2 else 0
+      markDirty(eLeaf(e))
+    }
+
+    /** A leaf's optimistic lift: 0 once it is selected, else its best
+      * undecided edge's gain plus the largest tuple-cost lifts it could
+      * unlock (never below 0).
+      */
+    private def leafLiftOf(l: Int): Double = {
+      var bestE = 0.0
+      if (leafSel(l) < 0) {
+        val es = edgesAt(l)
+        var i = 0
+        while (i < es.length) {
+          val e = es(i)
+          if (eState(e) == 0) {
+            val h = eHub(e)
+            if (!hubsCapped || hubCount(h) == 0) {
+              // First leaf joining a hub: Δf = gain + (b−u(l)) + (b−u(h)) − pen'
+              // where the new penalty pen' is exactly known under ≡ (the
+              // star is that single edge) and provably unavoidable when
+              // impacts are non-negative and the leaf already overshoots
+              // the hub. Joining an existing star: Δf ≤ gain + (b−u(l)) +
+              // pen(h) (at best an unbalanced star becomes balanced).
+              // Anything looser creates phantom gains that defeat pruning.
+              val hubLift =
+                if (hubCount(h) == 0) {
+                  val unavoidablePen =
+                    if (hubsCapped) { if (math.abs(impact(l) - impact(h)) > 1e-9) b - c else 0.0 }
+                    else if (allNonNeg && impact(l) > impact(h) + 1e-9) b - c
+                    else 0.0
+                  (b - uCost(h)) - unavoidablePen
+                } else pen(h)
+              val g = eGain(e) + (b - uCost(l)) + hubLift
+              if (g > bestE) bestE = g
+            }
+          }
+          i += 1
+        }
+      }
+      bestE
+    }
+
+    /** Optimistic objective reachable from the current state: f plus every
+      * leaf's lift. Only dirty lifts are recomputed.
       */
     private def bound(): Double = {
-      var extra = 0.0
-      var l = 0
-      while (l < nT) {
-        if (!isHub(l) && leafSel(l) < 0) {
-          var bestE = 0.0
-          val es = edgesAt(l)
-          var i = 0
-          while (i < es.length) {
-            val e = es(i)
-            if (eState(e) == 0) {
-              val h = eHub(e)
-              if (!hubsCapped || hubCount(h) == 0) {
-                // First leaf joining a hub: Δf = gain + (b−u(l)) + (b−u(h)) − pen'
-                // where the new penalty pen' is exactly known under ≡ (the
-                // star is that single edge) and provably unavoidable when
-                // impacts are non-negative and the leaf already overshoots
-                // the hub. Joining an existing star: Δf ≤ gain + (b−u(l)) +
-                // pen(h) (at best an unbalanced star becomes balanced).
-                // Anything looser creates phantom gains that defeat pruning.
-                val hubLift =
-                  if (hubCount(h) == 0) {
-                    val unavoidablePen =
-                      if (hubsCapped) { if (math.abs(impact(l) - impact(h)) > 1e-9) b - c else 0.0 }
-                      else if (allNonNeg && impact(l) > impact(h) + 1e-9) b - c
-                      else 0.0
-                    (b - uCost(h)) - unavoidablePen
-                  } else pen(h)
-                val g = eGain(e) + (b - uCost(l)) + hubLift
-                if (g > bestE) bestE = g
-              }
-            }
-            i += 1
-          }
-          extra += bestE
-        }
-        l += 1
+      while (nDirty > 0) {
+        nDirty -= 1
+        val i = dirtyStack(nDirty)
+        dirty(i) = false
+        leafLift(i) = leafLiftOf(leaves(i))
       }
+      var extra = 0.0
+      var i = 0
+      while (i < leafLift.length) { extra += leafLift(i); i += 1 }
       f + extra
     }
 
-    /** Picks the most promising selectable undecided edge, or -1. */
-    private def pickBranch(): Int = {
-      var best = -1
-      var bestG = 0.0
-      var e = 0
-      while (e < nE) {
+    /** Position in `order` of the first selectable undecided edge at or
+      * after `from`, or -1.
+      */
+    private def pickBranch(from: Int): Int = {
+      var k = from
+      while (k < nE) {
+        val e = order(k)
         if (eState(e) == 0 && leafSel(eLeaf(e)) < 0 &&
-            (!hubsCapped || hubCount(eHub(e)) == 0)) {
-          val g = eGain(e) + (b - uCost(eLeaf(e)))
-          if (best == -1 || g > bestG) { best = e; bestG = g }
-        }
-        e += 1
+            (!hubsCapped || hubCount(eHub(e)) == 0)) return k
+        k += 1
       }
-      best
+      -1
     }
 
     def solve(nodeCap: Long, deadline: Long): CompResult = {
@@ -267,32 +341,55 @@ object ExplainSolver {
       def snapshot(): Vector[(Long, Long)] =
         selectedNow.iterator.map { e => val m = ms(e); (m.left, m.right) }.toVector
 
-      def dfs(): Unit = {
+      /** Enters a node; returns the `order` position of its branch edge, or
+        * -1 when the node is pruned, exhausted or over budget.
+        */
+      def visit(from: Int): Int = {
         nodes += 1
         // Record the incumbent before budget checks so a capped component
         // still returns its best completion (never -inf).
         if (f > bestF + 1e-12) { bestF = f; bestSel = snapshot() }
         if (nodes > nodeCap || (nodes % 256 == 0 && System.nanoTime() > deadline)) {
           capped = true
-          return
-        }
-        if (bound() <= bestF + 1e-12) return
-        val e = pickBranch()
-        if (e < 0) return
-        val undo = select(e)
-        dfs()
-        undoSelect(e, undo)
-        if (capped) return
-        eState(e) = 2
-        dfs()
-        eState(e) = 0
+          -1
+        } else if (bound() <= bestF + 1e-12) -1
+        else pickBranch(from)
       }
 
-      // Deep components can recurse to |E| frames; run on a big-stack thread.
-      val runner = new Thread(null, () => dfs(), "explain-solver", 256L * 1024 * 1024)
-      runner.setDaemon(true)
-      runner.start()
-      runner.join()
+      // One frame per branched edge on the current path: its position in
+      // `order`, whether the select child is done (now in the reject
+      // child), and what undoing the select needs. Positions strictly
+      // increase along a path, so the depth never exceeds |E|.
+      val framePos = new Array[Int](nE)
+      val frameRejecting = new Array[Boolean](nE)
+      val frameForced = new Array[Int](nE)
+      val frameF = new Array[Double](nE)
+      var depth = 0
+      var k = visit(0)
+      // A capped search stops where it is: the component is not reused.
+      while (!capped && (k >= 0 || depth > 0)) {
+        if (k >= 0) {
+          // Descend into the child that selects the branch edge.
+          framePos(depth) = k; frameRejecting(depth) = false
+          frameForced(depth) = nForced; frameF(depth) = f
+          depth += 1
+          select(order(k))
+          k = visit(k + 1)
+        } else {
+          val d = depth - 1
+          val e = order(framePos(d))
+          if (!frameRejecting(d)) {
+            // Select child done: descend into the child that rejects e.
+            undoSelect(e, frameForced(d), frameF(d))
+            setRejected(e, rejected = true)
+            frameRejecting(d) = true
+            k = visit(framePos(d) + 1)
+          } else {
+            setRejected(e, rejected = false)
+            depth -= 1
+          }
+        }
+      }
       CompResult(bestF, bestSel, proved = !capped, nodesUsed = nodes)
     }
   }

@@ -111,7 +111,14 @@ object Model {
 
   /** Result of a solver run: the explanations, their score under the
     * objective of Problem 1 (log space), and whether the search completed
-    * (false when a node/time cap returned the best incumbent).
+    * (false when a node/time cap returned the best incumbent). `nodes` is
+    * the number of branch-and-bound nodes, summed over components (0 for
+    * solutions that did not come from a search).
     */
-  final case class Solution(explanations: ExplanationSet, logProb: Double, proved: Boolean)
+  final case class Solution(
+      explanations: ExplanationSet,
+      logProb: Double,
+      proved: Boolean,
+      nodes: Long = 0L,
+  )
 }

@@ -50,7 +50,7 @@ object Similarity {
       .select("lid", "rid")
       .distinct()
 
-    val l = attrs.foldLeft(left.select(col("cid").as("lid"), col("*")))((d, _) => d)
+    val l = left
       .select(col("cid").as("l_cid") +: attrs.map(a => col(a.name).as(s"l_${a.name}")): _*)
     val r = right
       .select(col("cid").as("r_cid") +: attrs.map(a => col(a.name).as(s"r_${a.name}")): _*)
@@ -64,8 +64,8 @@ object Similarity {
         val d = col(s"l_${a.name}").cast("double") - col(s"r_${a.name}").cast("double")
         lit(1.0) / (lit(1.0) + d * d)
       } else {
-        val lt = array_distinct(split(lower(trim(col(s"l_${a.name}"))), "\\s+"))
-        val rt = array_distinct(split(lower(trim(col(s"r_${a.name}"))), "\\s+"))
+        val lt = tokensOf(s"l_${a.name}")
+        val rt = tokensOf(s"r_${a.name}")
         val inter = size(array_intersect(lt, rt)).cast("double")
         val uni   = size(array_union(lt, rt)).cast("double")
         when(uni > 0, inter / uni).otherwise(lit(0.0))

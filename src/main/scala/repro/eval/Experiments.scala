@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.baselines._
 import repro.core.{ExplainSolver, Pipeline, Summarize}
-import repro.core.Model.Phi
+import repro.core.Model.{Instance, Phi, Solution}
 import repro.core.Similarity.KeyAttr
 import repro.data._
 
@@ -147,23 +147,26 @@ object Experiments {
       SyntheticGen.canonicalSide(spark, cfg, 1),
       SyntheticGen.canonicalSide(spark, cfg, 2),
       Seq(KeyAttr("match_attr")), Phi.Equiv)
-    val algos: Seq[(String, Algorithm)] =
-      ("NOOPT" -> Explain3DNoOpt(solverCfg)) +:
-        batchSizes.map(b => s"BATCH-$b" -> Explain3DBatch(b, solverCfg))
-    algos.map { case (nm, a) =>
+    val algos: Seq[(String, Instance => Solution)] =
+      ("NOOPT" -> Explain3DNoOpt(solverCfg).solve _) +:
+        batchSizes.map(b => s"BATCH-$b" -> Explain3DBatch(b, solverCfg).solve _)
+    algos.map { case (nm, solve) =>
       val t0 = System.nanoTime()
-      val e = a.derive(pair.inst)
+      val sol = solve(pair.inst)
       val ms = (System.nanoTime() - t0) / 1000000
+      val e = sol.explanations
       val explF1 = Metrics.prf(Metrics.explanationItems(e, pair.keyOf), pair.gold.explanations).f1
       val evidF1 = Metrics.prf(Metrics.evidenceItems(e, pair.keyOf), pair.gold.evidence).f1
-      SyntheticPoint(cfg.n, cfg.d, cfg.v, nm, ms, explF1, evidF1, proved = true)
+      SyntheticPoint(cfg.n, cfg.d, cfg.v, nm, ms, explF1, evidF1, sol.proved)
     }
   }
 
+  /** One line per point; a capped or timed-out solve is marked UNPROVED. */
   def renderSynthetic(points: Seq[SyntheticPoint]): String =
     points.map { p =>
       f"n=${p.n}%-6d d=${p.d}%.1f v=${p.v}%-6d ${p.algorithm}%-12s " +
-        f"solve=${p.solveMillis}%6dms  explF1=${p.explF1}%.3f evidF1=${p.evidF1}%.3f"
+        f"solve=${p.solveMillis}%6dms  explF1=${p.explF1}%.3f evidF1=${p.evidF1}%.3f" +
+        (if (p.proved) "" else "  UNPROVED")
     }.mkString("\n")
 
   // ---------------------------------------------------------------- Fig 4

@@ -63,6 +63,7 @@ object SmartPartition {
     val deadline = System.nanoTime() + solverCfg.timeLimitMs * 1000000L
     var logProb = parts.cutMatches.iterator.map(m => math.log(1 - m.p)).sum
     var proved = true
+    var nodes = 0L
     var delta = Set.empty[Long]
     var values = Map.empty[Long, ValueChange]
     var evidence = Set.empty[(Long, Long)]
@@ -71,10 +72,11 @@ object SmartPartition {
       val s = ExplainSolver.solve(sub, solverCfg.copy(timeLimitMs = remainingMs))
       logProb += s.logProb
       proved &&= s.proved
+      nodes += s.nodes
       delta ++= s.explanations.delta
       values ++= s.explanations.values
       evidence ++= s.explanations.evidence
     }
-    Solution(ExplanationSet(delta, values, evidence), logProb, proved)
+    Solution(ExplanationSet(delta, values, evidence), logProb, proved, nodes)
   }
 }

@@ -53,6 +53,27 @@ class ExplainSolverEdgeSpec extends AnyFunSuite {
     assert(sol.explanations.evidence == (0 until n).map(i => (i.toLong, 100L + i)).toSet)
   }
 
+  test("a 20,000-edge chain is solved and proved on a 512 KB thread stack") {
+    // The search must not recurse per branched edge: this chain is decided
+    // one edge per level, far deeper than a small stack can hold.
+    val n = 10001
+    val t1 = (0 until n).map(i => CTuple(i, 1, Seq(s"l$i"), 1)).toVector
+    val t2 = (0 until n).map(i => CTuple(100000 + i, 2, Seq(s"r$i"), 1)).toVector
+    val ms = ((0 until n).map(i => TupleMatch(i, 100000 + i, 0.9)) ++
+      (0 until n - 1).map(i => TupleMatch(i, 100000 + i + 1, 0.6))).toVector
+    assert(ms.size >= 20000)
+    val inst = Instance(t1, t2, ms, Phi.Equiv, params)
+    var result: Either[Throwable, Solution] = Left(new IllegalStateException("not run"))
+    val runner = new Thread(null, () => {
+      result = try Right(ExplainSolver.solve(inst)) catch { case t: Throwable => Left(t) }
+    }, "small-stack-solve", 512L * 1024)
+    runner.start()
+    runner.join()
+    val sol = result.fold(t => fail(s"solve failed on a 512 KB stack: $t"), identity)
+    assert(sol.proved)
+    assert(sol.explanations.evidence == (0 until n).map(i => (i.toLong, 100000L + i)).toSet)
+  }
+
   test("timeLimit of zero still yields a complete incumbent") {
     val t1 = (0 until 6).map(i => CTuple(i, 1, Seq(s"l$i"), 1)).toVector
     val t2 = (0 until 6).map(i => CTuple(100 + i, 2, Seq(s"r$i"), 1)).toVector

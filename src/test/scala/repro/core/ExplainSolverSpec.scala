@@ -152,4 +152,54 @@ class ExplainSolverSpec extends AnyFunSuite {
         s"trial $trial: reported score differs from decoded score")
     }
   }
+
+  /** 30×30 tuples; each (left, right) pair is a candidate with probability
+    * `density`, and every impact is drawn from `impacts`.
+    */
+  private def pinnedInstance(
+      seed: Long, phi: Phi, impacts: Seq[Double], params: Params, density: Double): Instance = {
+    val rnd = new scala.util.Random(seed)
+    val probs = Array(0.3, 0.55, 0.7, 0.85, 0.95)
+    val t1 = (0 until 30).map(i => CTuple(i, 1, Seq(s"l$i"), impacts(rnd.nextInt(impacts.size)))).toVector
+    val t2 = (0 until 30).map(j => CTuple(1000 + j, 2, Seq(s"r$j"), impacts(rnd.nextInt(impacts.size)))).toVector
+    val ms = (for (i <- 0 until 30; j <- 0 until 30 if rnd.nextDouble() < density)
+      yield TupleMatch(i, 1000 + j, probs(rnd.nextInt(probs.length)))).toVector
+    Instance(t1, t2, ms, phi, params)
+  }
+
+  test("pinned search: objective, node count and provedness on seeded 30x30 instances") {
+    // Expected values were recorded from the full-rescan search (a bound
+    // and a branch pick that scanned every leaf and edge at every node).
+    // Equal node counts mean the search explores the same tree.
+    val positive = (1 to 4).map(_.toDouble)
+    val withZero = (0 to 4).map(_.toDouble)
+    val withNeg = (-3 to 5).map(_.toDouble)
+    val default = ExplainSolver.Config().nodeCap
+    val cases = Seq(
+      // (seed, φ, impacts, params, density, nodeCap, logProb, nodes, proved)
+      (2L, Phi.Equiv, positive, params, 0.05, default, -112.9791674815, 845L, true),
+      (2L, Phi.Equiv, withZero, params, 0.05, default, -107.3648300672, 1961L, true),
+      (1L, Phi.Equiv, withNeg, params, 0.05, default, -126.7751301505, 11773L, true),
+      (2L, Phi.LessGeneral, positive, params, 0.05, default, -106.9146370129, 100585L, true),
+      (2L, Phi.LessGeneral, withZero, params, 0.05, default, -102.1031783892, 130143L, true),
+      (1L, Phi.MoreGeneral, positive, params, 0.05, default, -100.3978811083, 33719L, true),
+      (2L, Phi.MoreGeneral, withZero, params, 0.05, default, -102.8042749597, 111379L, true),
+      (1L, Phi.MoreGeneral, withNeg, params, 0.05, 20000L, -114.8625624978, 20013L, false),
+      (2L, Phi.LessGeneral, withNeg, params, 0.05, 5000L, -117.8595505579, 5011L, false),
+      (3L, Phi.Equiv, withNeg, Params(0.6, 0.7), 0.05, default, -114.5991909913, 103L, true),
+      (3L, Phi.LessGeneral, withZero, Params(0.7, 0.6), 0.05, default, -105.1262052202, 5157L, true),
+      (4L, Phi.MoreGeneral, withNeg, Params(0.55, 0.95), 0.05, default, -93.4049077834, 1142L, true),
+      (5L, Phi.Equiv, withZero, Params(0.95, 0.55), 0.08, default, -98.1407997479, 91L, true),
+      (1L, Phi.Equiv, withZero, params, 0.08, 3000L, -137.3203357600, 3007L, false),
+    )
+    for (((seed, phi, impacts, prm, density, cap, logProb, nodes, proved), i) <- cases.zipWithIndex) {
+      val inst = pinnedInstance(seed, phi, impacts, prm, density)
+      val sol = ExplainSolver.solve(inst, ExplainSolver.Config(nodeCap = cap, timeLimitMs = 600000L))
+      assert(math.abs(sol.logProb - logProb) < 1e-9, s"case $i: logProb ${sol.logProb}")
+      assert(sol.nodes == nodes, s"case $i: nodes")
+      assert(sol.proved == proved, s"case $i: proved")
+      assert(Scoring.completenessViolation(inst, sol.explanations).isEmpty, s"case $i incomplete")
+      assert(math.abs(Scoring.logProb(inst, sol.explanations) - sol.logProb) < 1e-9, s"case $i: score")
+    }
+  }
 }

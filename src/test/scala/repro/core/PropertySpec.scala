@@ -16,12 +16,12 @@ class PropertySpec extends AnyFunSuite {
     b <- Gen.choose(0.55, 0.99)
   } yield Params(a, b)
 
-  private val genInstance: Gen[Instance] = for {
+  private def genInstanceWith(impact: Gen[Int]): Gen[Instance] = for {
     params <- genParams
     n1 <- Gen.choose(1, 4)
     n2 <- Gen.choose(1, 4)
-    imps1 <- Gen.listOfN(n1, Gen.choose(0, 5))
-    imps2 <- Gen.listOfN(n2, Gen.choose(0, 5))
+    imps1 <- Gen.listOfN(n1, impact)
+    imps2 <- Gen.listOfN(n2, impact)
     phi <- Gen.oneOf(Phi.Equiv, Phi.LessGeneral, Phi.MoreGeneral)
     edges <- Gen.listOf(for {
       i <- Gen.choose(0, n1 - 1)
@@ -34,9 +34,20 @@ class PropertySpec extends AnyFunSuite {
     edges.groupBy(m => (m.left, m.right)).values.map(_.head).toVector.sortBy(m => (m.left, m.right)),
     phi, params)
 
-  private def samples(n: Int, filter: Instance => Boolean = _ => true): Seq[Instance] =
+  private val genInstance: Gen[Instance] = genInstanceWith(Gen.choose(0, 5))
+
+  /** Mixed-sign impacts (SUM over negative values): the bound's
+    * non-negative-impact shortcut no longer applies.
+    */
+  private val genSignedInstance: Gen[Instance] = genInstanceWith(Gen.choose(-3, 5))
+
+  private def samples(
+      n: Int,
+      filter: Instance => Boolean = _ => true,
+      gen: Gen[Instance] = genInstance,
+  ): Seq[Instance] =
     (0 until n * 4).iterator
-      .map(i => genInstance.pureApply(Gen.Parameters.default, Seed(1000L + i)))
+      .map(i => gen.pureApply(Gen.Parameters.default, Seed(1000L + i)))
       .filter(filter)
       .take(n)
       .toSeq
@@ -54,6 +65,18 @@ class PropertySpec extends AnyFunSuite {
       val sol = ExplainSolver.solve(inst)
       val (_, best) = SemanticBruteForce.solve(inst)
       assert(math.abs(sol.logProb - best) < 1e-9, s"$inst")
+    }
+  }
+
+  test("solver is optimal against the semantic brute force with negative impacts") {
+    val insts = samples(40, _.matches.size <= 10, genSignedInstance)
+    assert(insts.count(_.tupleById.values.exists(_.impact < 0)) >= 20)
+    for (inst <- insts) {
+      val sol = ExplainSolver.solve(inst)
+      val (_, best) = SemanticBruteForce.solve(inst)
+      assert(sol.proved, s"$inst")
+      assert(math.abs(sol.logProb - best) < 1e-9, s"$inst")
+      assert(Scoring.completenessViolation(inst, sol.explanations).isEmpty, s"$inst")
     }
   }
 

@@ -36,6 +36,16 @@ class ExperimentsSpec extends AnyFunSuite {
     val s = Experiments.renderSynthetic(pts)
     assert(s.linesIterator.size == 2)
     assert(s.contains("NOOPT") && s.contains("BATCH-100"))
+    assert(!s.contains("UNPROVED"))
+  }
+
+  test("renderSynthetic marks unproved points") {
+    val pts = Seq(
+      Experiments.SyntheticPoint(5000, 0.2, 1000, "NOOPT", 90000, 0.9, 0.9, proved = false),
+      Experiments.SyntheticPoint(5000, 0.2, 1000, "BATCH-100", 800, 1.0, 1.0, proved = true))
+    val lines = Experiments.renderSynthetic(pts).linesIterator.toSeq
+    assert(lines(0).contains("NOOPT") && lines(0).endsWith("UNPROVED"))
+    assert(!lines(1).contains("UNPROVED"))
   }
 
   test("AlgoResult row is aligned and complete") {

@@ -45,12 +45,19 @@ object EvidenceToExplanations {
   }
 }
 
+/** An algorithm whose result comes from the EXP-3D solver, with the
+  * solver's `proved` flag and objective.
+  */
+trait SolverBacked extends Algorithm {
+  def solve(inst: Instance): Solution
+  def derive(inst: Instance): ExplanationSet = solve(inst).explanations
+}
+
 /** EXPLAIN3D without the smart-partitioning optimization (NOOPT). */
 final case class Explain3DNoOpt(cfg: ExplainSolver.Config = ExplainSolver.Config())
-    extends Algorithm {
+    extends SolverBacked {
   val name = "EXPLAIN3D-NOOPT"
   def solve(inst: Instance): Solution = ExplainSolver.solve(inst, cfg)
-  def derive(inst: Instance): ExplanationSet = solve(inst).explanations
 }
 
 /** EXPLAIN3D with smart partitioning at a fixed batch size (BATCH-<n>). */
@@ -58,9 +65,8 @@ final case class Explain3DBatch(
     batch: Int,
     cfg: ExplainSolver.Config = ExplainSolver.Config(),
     partCfg: repro.partition.PrePartition.Config = repro.partition.PrePartition.Config(),
-) extends Algorithm {
+) extends SolverBacked {
   val name = s"EXPLAIN3D-BATCH-$batch"
   def solve(inst: Instance): Solution =
     SmartPartition.solve(inst, SmartPartition.Config(batch, partCfg), cfg)
-  def derive(inst: Instance): ExplanationSet = solve(inst).explanations
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
@@ -25,11 +26,79 @@ object Pipeline {
       leftCanon: DataFrame,
       rightCanon: DataFrame,
       matchAttrs: Seq[String],
+      stats: PairStats,
+  )
+
+  /** What stage 1 produced for one pair and where its time went: wall
+    * seconds of each phase of [[prepare]] (gold derivation, the tuple
+    * collect, the candidate + calibration collect, the driver-side dedupe),
+    * and the candidate pairs collected against the matches kept
+    * (`nMatches`).
+    */
+  final case class PairStats(
+      t1: Int,
+      t2: Int,
+      nMatches: Int,
+      candidates: Long = 0L,
+      goldS: Double = 0.0,
+      tuplesS: Double = 0.0,
+      candidatesS: Double = 0.0,
+      dedupeS: Double = 0.0,
   ) {
-    def stats: PairStats = PairStats(inst.t1.size, inst.t2.size, inst.matches.size)
+    def phases: String =
+      f"stage 1: gold $goldS%.3fs, tuples $tuplesS%.3fs, candidates $candidatesS%.3fs, " +
+        f"dedupe $dedupeS%.3fs; $candidates candidate pairs, $nMatches kept"
   }
 
-  final case class PairStats(t1: Int, t2: Int, nMatches: Int)
+  object PairStats {
+    /** Field-wise mean; counts use integer division. */
+    def mean(ss: Seq[PairStats]): PairStats = {
+      val n = ss.size
+      PairStats(ss.map(_.t1).sum / n, ss.map(_.t2).sum / n, ss.map(_.nMatches).sum / n,
+        ss.map(_.candidates).sum / n, ss.map(_.goldS).sum / n, ss.map(_.tuplesS).sum / n,
+        ss.map(_.candidatesS).sum / n, ss.map(_.dedupeS).sum / n)
+    }
+  }
+
+  private val JobDescription = "spark.job.description"
+
+  /** Runs one phase of [[prepare]] with its Spark jobs described as
+    * `stage 1: <name>`, then restores the caller's job description.
+    * Returns the result and the phase's wall seconds.
+    */
+  private def phase[A](sc: SparkContext, name: String)(body: => A): (A, Double) = {
+    val caller = sc.getLocalProperty(JobDescription)
+    sc.setJobDescription(s"stage 1: $name")
+    val t0 = System.nanoTime()
+    try {
+      val a = body
+      (a, (System.nanoTime() - t0) / 1e9)
+    } finally sc.setLocalProperty(JobDescription, caller)
+  }
+
+  /** Orders matches by (left, right). */
+  private val byPair: Ordering[TupleMatch] = (a, b) => {
+    val c = java.lang.Long.compare(a.left, b.left)
+    if (c != 0) c else java.lang.Long.compare(a.right, b.right)
+  }
+
+  /** Sorts by (left, right) and keeps the first max-p match of each pair. */
+  private[core] def dedupe(ms: Array[TupleMatch]): Vector[TupleMatch] = {
+    val sorted = ms.sorted(byPair)
+    val out = Vector.newBuilder[TupleMatch]
+    var i = 0
+    while (i < sorted.length) {
+      var best = sorted(i)
+      var j = i + 1
+      while (j < sorted.length && sorted(j).left == best.left && sorted(j).right == best.right) {
+        if (sorted(j).p > best.p) best = sorted(j)
+        j += 1
+      }
+      out += best
+      i = j
+    }
+    out.result()
+  }
 
   /** Assigns a deterministic 0-based `cid` by sorting on the key columns. */
   def withCid(canon: DataFrame, matchAttrs: Seq[String]): DataFrame = {
@@ -66,7 +135,8 @@ object Pipeline {
       .select("lid", "rid")
     val probs = Calibration.calibrate(sims, goldEvCid, buckets, labelFraction, seed)
 
-    val gold = Gold.derive(lc, rc, matchAttrs, phi)
+    val sc = lc.sparkSession.sparkContext
+    val (gold, goldS) = phase(sc, "gold")(Gold.derive(lc, rc, matchAttrs, phi))
 
     def collectSide(df: DataFrame, side: Int, offset: Long): Vector[CTuple] = {
       // Any column beyond (cid, matchAttrs, I, uid) is an extra provenance
@@ -83,17 +153,21 @@ object Pipeline {
           matchAttrs.zip(key).toMap ++ extras.zip(extraVals).toMap)
       }
     }
-    val t1 = collectSide(lc, 1, 0L)
+    val ((t1, t2), tuplesS) = phase(sc, "tuples") {
+      val t1 = collectSide(lc, 1, 0L)
+      (t1, collectSide(rc, 2, t1.size.toLong))
+    }
     val offset = t1.size.toLong
-    val t2 = collectSide(rc, 2, offset)
 
-    val matches = probs.select("lid", "rid", "p").collect().toVector
-      .map { case Row(l: Long, r: Long, p: Double) => TupleMatch(l, r + offset, p) }
-      .groupBy(m => (m.left, m.right)).values.map(_.maxBy(_.p)).toVector
-      .sortBy(m => (m.left, m.right))
+    val (candidates, candidatesS) = phase(sc, "candidates")(
+      probs.select("lid", "rid", "p").collect()
+        .map { case Row(l: Long, r: Long, p: Double) => TupleMatch(l, r + offset, p) })
+    val (matches, dedupeS) = phase(sc, "dedupe")(dedupe(candidates))
 
     val inst = Instance(t1, t2, matches, phi, params)
     val keyOf = (t1 ++ t2).map(t => t.id -> (t.side, t.key.mkString("|"))).toMap
-    PreparedPair(inst, keyOf, gold, lc, rc, matchAttrs)
+    val stats = PairStats(t1.size, t2.size, matches.size, candidates.length.toLong,
+      goldS, tuplesS, candidatesS, dedupeS)
+    PreparedPair(inst, keyOf, gold, lc, rc, matchAttrs, stats)
   }
 }

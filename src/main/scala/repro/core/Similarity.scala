@@ -13,6 +13,11 @@ import org.apache.spark.sql.functions._
   * and are not matches). Scoring follows the paper: token-wise Jaccard for
   * string attributes, `1/(1+(a−b)²)` for numeric attributes, averaged over
   * the matching attributes.
+  *
+  * Each tuple is tokenized once, before the join: the relations joined to
+  * the pairs carry every text attribute's distinct-token array and every
+  * numeric attribute as a double, so scoring a pair is one set
+  * intersection, `|A∩B| / (|A|+|B|−|A∩B|)`.
   */
 object Similarity {
 
@@ -50,28 +55,42 @@ object Similarity {
       .select("lid", "rid")
       .distinct()
 
-    val l = left
-      .select(col("cid").as("l_cid") +: attrs.map(a => col(a.name).as(s"l_${a.name}")): _*)
-    val r = right
-      .select(col("cid").as("r_cid") +: attrs.map(a => col(a.name).as(s"r_${a.name}")): _*)
+    // A null text value becomes the empty token array, so the sizes below
+    // are never null and it scores 0 against anything.
+    def perTuple(df: DataFrame, side: String): DataFrame =
+      df.select(col("cid").as(s"${side}_cid") +: attrs.map { a =>
+        val v =
+          if (a.numeric) col(a.name).cast("double")
+          else coalesce(tokensOf(a.name), array().cast("array<string>"))
+        v.as(s"${side}_${a.name}")
+      }: _*)
+    val l = perTuple(left, "l")
+    val r = perTuple(right, "r")
 
     val joined = pairs
       .join(l, pairs("lid") === l("l_cid"))
       .join(r, pairs("rid") === r("r_cid"))
 
+    // |A∩B| and |A|+|B| get a projection of their own: the score uses each
+    // more than once, and Spark would evaluate the intersection each time.
+    val overlaps = joined.select(col("lid") +: col("rid") +: attrs.flatMap { a =>
+      val (lv, rv) = (col(s"l_${a.name}"), col(s"r_${a.name}"))
+      if (a.numeric) Seq(lv, rv)
+      else Seq(size(array_intersect(lv, rv)).as(s"i_${a.name}"), (size(lv) + size(rv)).as(s"n_${a.name}"))
+    }: _*)
+
     val sims = attrs.map { a =>
       if (a.numeric) {
-        val d = col(s"l_${a.name}").cast("double") - col(s"r_${a.name}").cast("double")
+        val d = col(s"l_${a.name}") - col(s"r_${a.name}")
         lit(1.0) / (lit(1.0) + d * d)
       } else {
-        val lt = tokensOf(s"l_${a.name}")
-        val rt = tokensOf(s"r_${a.name}")
-        val inter = size(array_intersect(lt, rt)).cast("double")
-        val uni   = size(array_union(lt, rt)).cast("double")
-        when(uni > 0, inter / uni).otherwise(lit(0.0))
+        // Both arrays are distinct, so this is |A ∪ B|.
+        val inter = col(s"i_${a.name}")
+        val uni   = col(s"n_${a.name}") - inter
+        when(uni > 0, inter.cast("double") / uni.cast("double")).otherwise(lit(0.0))
       }
     }
     val simExpr = sims.reduce(_ + _) / lit(attrs.size.toDouble)
-    joined.select(col("lid"), col("rid"), simExpr.as("sim"))
+    overlaps.select(col("lid"), col("rid"), simExpr.as("sim"))
   }
 }

@@ -62,7 +62,7 @@ object Experiments {
   def render(r: PairRun): String = {
     val header =
       s"== ${r.pairName}: |T1|=${r.stats.t1} |T2|=${r.stats.t2} " +
-        s"|M_tuple|=${r.stats.nMatches} (match generation ${r.prepareMillis}ms)"
+        s"|M_tuple|=${r.stats.nMatches} (match generation ${r.prepareMillis}ms; ${r.stats.phases})"
     val rows = r.results.map(_.row)
     val skipped = r.skipped.map(n => f"${r.pairName}%-12s $n%-22s  DNF (exceeds size guard, cf. Fig 7)")
     (header +: rows ++: skipped).mkString("\n")
@@ -118,10 +118,7 @@ object Experiments {
       PairRun(
         template,
         runs.map(_.prepareMillis).sum / runs.size,
-        Pipeline.PairStats(
-          runs.map(_.stats.t1).sum / runs.size,
-          runs.map(_.stats.t2).sum / runs.size,
-          runs.map(_.stats.nMatches).sum / runs.size),
+        Pipeline.PairStats.mean(runs.map(_.stats)),
         averaged,
         runs.flatMap(_.skipped).distinct,
       )

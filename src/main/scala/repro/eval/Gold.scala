@@ -41,10 +41,11 @@ object Gold {
     val l = leftCanon.select(keyExpr(matchAttrs).as("key"), col("I").cast("double").as("I"), col("uid"))
     val r = rightCanon.select(keyExpr(matchAttrs).as("key"), col("I").cast("double").as("I"), col("uid"))
 
-    val lGrouped = l.filter(col("uid").isNotNull).groupBy("uid")
-      .agg(collect_list("key").as("lKeys"), sum("I").as("lSum"))
-    val rGrouped = r.filter(col("uid").isNotNull).groupBy("uid")
-      .agg(collect_list("key").as("rKeys"), sum("I").as("rSum"))
+    // The null uid is a group of its own on each side. The equi-join never
+    // matches null, so both null groups come back one-sided: tuples with no
+    // uid at all can never correspond and become provenance-based items.
+    val lGrouped = l.groupBy("uid").agg(collect_list("key").as("lKeys"), sum("I").as("lSum"))
+    val rGrouped = r.groupBy("uid").agg(collect_list("key").as("rKeys"), sum("I").as("rSum"))
     val joined = lGrouped.join(rGrouped, Seq("uid"), "full_outer")
       .select("uid", "lKeys", "rKeys", "lSum", "rSum")
       .collect()
@@ -52,10 +53,6 @@ object Gold {
     val expl = Set.newBuilder[Item]
     val ev = Set.newBuilder[(String, String)]
     val hubSide = if (phi == Phi.MoreGeneral) 1 else 2
-
-    // Tuples with no uid at all can never correspond: provenance-based.
-    l.filter(col("uid").isNull).select("key").collect().foreach(row => expl += (("prov", 1, row.getString(0))))
-    r.filter(col("uid").isNull).select("key").collect().foreach(row => expl += (("prov", 2, row.getString(0))))
 
     joined.foreach { row =>
       val lKeys = Option(row.getAs[scala.collection.Seq[String]]("lKeys")).map(_.toSeq).getOrElse(Seq.empty)

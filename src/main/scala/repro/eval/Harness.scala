@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.baselines.Algorithm
+import repro.baselines.{Algorithm, SolverBacked}
 import repro.core.Pipeline.PreparedPair
 import repro.eval.Metrics.PRF
 
@@ -18,18 +18,29 @@ object Harness {
       explanation: PRF,
       evidence: PRF,
       solveMillis: Long,
+      proved: Boolean = true,
   ) {
+    /** A capped or timed-out solve is marked UNPROVED. */
     def row: String =
-      f"$pair%-12s $algorithm%-22s  expl[$explanation]  evid[$evidence]  ${solveMillis}ms"
+      f"$pair%-12s $algorithm%-22s  expl[$explanation]  evid[$evidence]  ${solveMillis}ms" +
+        (if (proved) "" else "  UNPROVED")
   }
 
+  /** Runs `algo` on the pair. Only a solver-backed algorithm can be
+    * unproved: its solve may stop at a node or time cap.
+    */
   def run(algo: Algorithm, pair: PreparedPair, pairName: String): AlgoResult = {
     val t0 = System.nanoTime()
-    val e = algo.derive(pair.inst)
+    val (e, proved) = algo match {
+      case s: SolverBacked =>
+        val sol = s.solve(pair.inst)
+        (sol.explanations, sol.proved)
+      case _ => (algo.derive(pair.inst), true)
+    }
     val ms = (System.nanoTime() - t0) / 1000000
     val expl = Metrics.prf(Metrics.explanationItems(e, pair.keyOf), pair.gold.explanations)
     val evid = Metrics.prf(Metrics.evidenceItems(e, pair.keyOf), pair.gold.evidence)
-    AlgoResult(algo.name, pairName, expl, evid, ms)
+    AlgoResult(algo.name, pairName, expl, evid, ms, proved)
   }
 
   /** Arithmetic mean of results across pairs (used for the IMDb templates,
@@ -42,6 +53,6 @@ object Harness {
       rs.map(f(_).f1).sum / rs.size,
     )
     AlgoResult(rs.head.algorithm, name, avgPrf(_.explanation), avgPrf(_.evidence),
-      rs.map(_.solveMillis).sum / rs.size)
+      rs.map(_.solveMillis).sum / rs.size, rs.forall(_.proved))
   }
 }

@@ -6,6 +6,8 @@ import repro.core.Model.Phi
 import repro.core.Similarity.KeyAttr
 import repro.data.SyntheticGen
 import repro.eval.{Harness, Metrics}
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 
 /** End-to-end pipeline tests on the §5.3 synthetic generator: stage 1 in
   * Spark, stage 2 in the solver, metrics against the derived gold standard.
@@ -19,6 +21,60 @@ class PipelineSpec extends SparkSpec {
       SyntheticGen.canonicalSide(spark, cfg, 2),
       Seq(KeyAttr("match_attr")),
       Phi.Equiv)
+  }
+
+  test("stage-1 output is bit-identical to the recorded reference") {
+    // Recorded from the stage 1 that tokenized both strings of every
+    // candidate pair. Any change in which rows the calibration sample sees
+    // changes a bucket probability and so the match digest.
+    val inst = prepared.inst
+    assert((inst.t1.size, inst.t2.size, inst.matches.size) == ((135, 137, 6400)))
+    assert(Stage1Digest.matches(inst.matches) == "6fa7028cfafa4381")
+    assert(Stage1Digest.tuples(inst.t1) == "9e1bafc6bc23d64c")
+    assert(Stage1Digest.tuples(inst.t2) == "410b801089d40c05")
+    assert((prepared.gold.explanations.size, prepared.gold.evidence.size) == ((54, 124)))
+    assert(Stage1Digest.gold(prepared.gold) == "e72dc00448cae9db")
+  }
+
+  test("stats report every stage-1 phase and the candidate count") {
+    val s = prepared.stats
+    assert((s.t1, s.t2, s.nMatches) == ((prepared.inst.t1.size, prepared.inst.t2.size, prepared.inst.matches.size)))
+    assert(s.candidates >= s.nMatches)
+    assert(Seq(s.goldS, s.tuplesS, s.candidatesS, s.dedupeS).forall(_ >= 0.0))
+    assert(s.goldS + s.tuplesS + s.candidatesS > 0.0)
+  }
+
+  test("stage-1 jobs carry a phase description and the caller's description is restored") {
+    val sc = spark.sparkContext
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new org.apache.spark.scheduler.SparkListener {
+      override def onJobStart(e: org.apache.spark.scheduler.SparkListenerJobStart): Unit =
+        seen.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse(""))
+    }
+    val cfg = SyntheticGen.Config(n = 40, d = 0.2, v = 30, seed = 3)
+    sc.addSparkListener(listener)
+    sc.setJobDescription("caller")
+    try {
+      Pipeline.prepare(SyntheticGen.canonicalSide(spark, cfg, 1), SyntheticGen.canonicalSide(spark, cfg, 2),
+        Seq(KeyAttr("match_attr")), Phi.Equiv)
+      assert(sc.getLocalProperty("spark.job.description") == "caller")
+      sc.parallelize(Seq(1)).count() // a caller job marks the end of prepare's jobs on the listener bus
+      eventually(timeout(Span(30, Seconds))) { assert(seen.contains("caller")) }
+    } finally {
+      sc.setJobDescription(null)
+      sc.removeSparkListener(listener)
+    }
+    val descs = seen.toArray(Array.empty[String]).toSeq.takeWhile(_ != "caller")
+    assert(descs.toSet == Set("stage 1: gold", "stage 1: tuples", "stage 1: candidates"), descs.distinct)
+  }
+
+  test("dedupe keeps the first max-p match of each pair, sorted by (left, right)") {
+    import Model.TupleMatch
+    val rnd = new scala.util.Random(11)
+    val ms = Array.fill(500)(TupleMatch(rnd.nextInt(20).toLong, 100L + rnd.nextInt(20), (rnd.nextInt(5) + 1) / 10.0))
+    val reference = ms.toVector.groupBy(m => (m.left, m.right)).values.map(_.maxBy(_.p)).toVector
+      .sortBy(m => (m.left, m.right))
+    assert(Pipeline.dedupe(ms) == reference)
   }
 
   test("prepared instance has plausible sizes") {
@@ -66,6 +122,17 @@ class PipelineSpec extends SparkSpec {
   test("keyOf covers every tuple and evidence endpoints") {
     val ids = prepared.inst.tupleById.keySet
     assert(prepared.keyOf.keySet == ids)
+  }
+
+  test("a capped solve is reported and rendered as UNPROVED") {
+    val capped = ExplainSolver.Config(nodeCap = 1L)
+    for (algo <- Seq(Explain3DNoOpt(capped), Explain3DBatch(40, capped))) {
+      val res = Harness.run(algo, prepared, "synthetic")
+      assert(!res.proved, algo.name)
+      assert(res.row.endsWith("UNPROVED"), res.row)
+    }
+    val proved = Harness.run(Explain3DNoOpt(), prepared, "synthetic")
+    assert(proved.proved && !proved.row.contains("UNPROVED"))
   }
 
   test("all algorithms run end-to-end without error") {

@@ -2,6 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.{Pipeline, Stage1Digest}
 
 class ImdbQueriesSpec extends SparkSpec {
 
@@ -59,6 +60,19 @@ class ImdbQueriesSpec extends SparkSpec {
     val l = q.left.count()
     val r = q.right.count()
     assert(r > l, "view2 cannot restrict to actresses")
+  }
+
+  test("Q10 stage-1 output is bit-identical to the recorded reference") {
+    // Person attributes: a numeric dob and a non-blocking gender. Recorded
+    // from the stage 1 that tokenized both strings of every candidate pair.
+    val q = ImdbQueries.q10(v, "comedy")
+    val p = Pipeline.prepare(q.left, q.right, q.attrs, q.phi)
+    assert((p.inst.t1.size, p.inst.t2.size, p.inst.matches.size) == ((286, 304, 1140)))
+    assert(Stage1Digest.matches(p.inst.matches) == "eefa50590a087d33")
+    assert(Stage1Digest.tuples(p.inst.t1) == "3e50455c05a7461b")
+    assert(Stage1Digest.tuples(p.inst.t2) == "c51858e5a07961f0")
+    assert((p.gold.explanations.size, p.gold.evidence.size) == ((100, 245)))
+    assert(Stage1Digest.gold(p.gold) == "78835ae750b7497a")
   }
 
   test("strict templates (Q6-Q9) do not consolidate provenance") {

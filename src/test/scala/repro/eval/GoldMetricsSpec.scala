@@ -43,6 +43,24 @@ class GoldMetricsSpec extends SparkSpec {
     assert(g.explanations == Set(("prov", 1, "x")))
   }
 
+  test("gold derivation: null uids on both sides next to matched and unbalanced groups") {
+    import spark.implicits._
+    val nul = null.asInstanceOf[String]
+    val l = Seq(("a", 1.0, "u1"), ("b", 2.0, "u2"), ("b2", 3.0, "u2"), ("n1", 1.0, nul), ("n2", 4.0, nul),
+      ("c", 1.0, "u3"), ("h1", 2.0, "u4"), ("h0", 0.5, "u4")).toDF("k", "I", "uid")
+    val r = Seq(("a'", 1.0, "u1"), ("bb", 5.0, "u2"), ("n3", 2.0, nul), ("d", 1.0, "u5"),
+      ("h3", 3.0, "u4"), ("h2", 1.0, "u4")).toDF("k", "I", "uid")
+    // Recorded from the derivation that collected the null-uid tuples in
+    // separate queries. u4 is unbalanced (2.5 vs 4.0) and has two keys on
+    // each side: the value item names the hub side's first key.
+    val evidence = Set(("a", "a'"), ("b", "bb"), ("b2", "bb"), ("h0", "h2"), ("h0", "h3"), ("h1", "h2"), ("h1", "h3"))
+    val prov = Set(("prov", 1, "c"), ("prov", 1, "n1"), ("prov", 1, "n2"), ("prov", 2, "d"), ("prov", 2, "n3"))
+    assert(Gold.derive(l, r, Seq("k"), Phi.Equiv) ==
+      Gold.GoldStandard(prov + (("value", 2, "h3")), evidence))
+    assert(Gold.derive(l, r, Seq("k"), Phi.MoreGeneral) ==
+      Gold.GoldStandard(prov + (("value", 1, "h1")), evidence))
+  }
+
   test("PRF math") {
     val p = Metrics.prf(Set(1, 2, 3), Set(2, 3, 4, 5))
     assert(math.abs(p.precision - 2.0 / 3) < 1e-9)

@@ -27,15 +27,13 @@ object EvidenceToExplanations {
 
     val uf = new repro.core.Scoring.UnionFind(matched)
     evidence.foreach { case (l, r) => uf.union(l, r) }
-    val hubSide = if (inst.phi == Phi.MoreGeneral) 1 else 2
     val values = matched.groupBy(uf.find).flatMap { case (_, comp) =>
       val ts = comp.toSeq.map(inst.tupleById)
       val lSum = ts.filter(_.side == 1).map(_.impact).sum
       val rSum = ts.filter(_.side == 2).map(_.impact).sum
-      if (math.abs(lSum - rSum) > 1e-9) {
-        val hubs = ts.filter(_.side == hubSide)
-        val target = if (hubs.nonEmpty) hubs.maxBy(t => (math.abs(t.impact), t.id))
-                     else ts.maxBy(t => (math.abs(t.impact), t.id))
+      if (Params.unbalanced(lSum, rSum)) {
+        // Every evidence pair has a tuple on each side, so hubs exist.
+        val target = ts.filter(_.side == inst.phi.hubSide).maxBy(t => (math.abs(t.impact), t.id))
         val newImpact = if (target.side == 2) lSum - (rSum - target.impact)
                         else rSum - (lSum - target.impact)
         Some(target.id -> ValueChange(target.id, target.impact, newImpact))
@@ -61,12 +59,8 @@ final case class Explain3DNoOpt(cfg: ExplainSolver.Config = ExplainSolver.Config
 }
 
 /** EXPLAIN3D with smart partitioning at a fixed batch size (BATCH-<n>). */
-final case class Explain3DBatch(
-    batch: Int,
-    cfg: ExplainSolver.Config = ExplainSolver.Config(),
-    partCfg: repro.partition.PrePartition.Config = repro.partition.PrePartition.Config(),
-) extends SolverBacked {
+final case class Explain3DBatch(batch: Int, cfg: ExplainSolver.Config = ExplainSolver.Config())
+    extends SolverBacked {
   val name = s"EXPLAIN3D-BATCH-$batch"
-  def solve(inst: Instance): Solution =
-    SmartPartition.solve(inst, SmartPartition.Config(batch, partCfg), cfg)
+  def solve(inst: Instance): Solution = SmartPartition.solve(inst, SmartPartition.Config(batch), cfg)
 }

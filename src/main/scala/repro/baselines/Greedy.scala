@@ -14,26 +14,14 @@ case object Greedy extends Algorithm {
 
   def derive(inst: Instance): ExplanationSet = {
     val p = inst.params
-    val b = p.costKeep
-    val c = p.costChange
-    val hubSide = if (inst.phi == Phi.MoreGeneral) 1 else 2
-
-    def uCost(t: CTuple): Double =
-      math.max(p.costDelete, if (t.impact == 0.0) b else c)
-
     val leafMatched = mutable.Set.empty[Long]
     val hubCount = mutable.Map.empty[Long, Int].withDefaultValue(0)
     val hubSum = mutable.Map.empty[Long, Double].withDefaultValue(0.0)
-    def hubTerm(h: CTuple): Double =
-      if (hubCount(h.id) == 0) uCost(h)
-      else {
-        val penalty = if (math.abs(hubSum(h.id) - h.impact) > 1e-9) b - c else 0.0
-        b * (hubCount(h.id) + 1) - penalty
-      }
+    def hubTerm(h: CTuple): Double = p.starCost(hubCount(h.id), hubSum(h.id), h.impact)
 
     val ev = mutable.Set.empty[(Long, Long)]
     for (m <- inst.matches.sortBy(mm => (-mm.p, mm.left, mm.right))) {
-      val (hubId, leafId) = if (hubSide == 1) (m.left, m.right) else (m.right, m.left)
+      val (hubId, leafId) = inst.phi.hubAndLeaf(m.left, m.right)
       val hub = inst.tupleById(hubId)
       val leaf = inst.tupleById(leafId)
       val leafFree = !leafMatched.contains(leafId)
@@ -43,7 +31,8 @@ case object Greedy extends Algorithm {
         hubCount(hubId) += 1
         hubSum(hubId) += leaf.impact
         val after = hubTerm(hub)
-        val delta = (math.log(m.p) - math.log(1 - m.p)) + (b - uCost(leaf)) + (after - before)
+        val delta = (math.log(m.p) - math.log(1 - m.p)) + (p.costKeep - p.unmatchedCost(leaf.impact)) +
+          (after - before)
         if (delta > 0) {
           leafMatched += leafId
           ev += ((m.left, m.right))

@@ -5,8 +5,8 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Production stage-2 solver: exact branch-and-bound over the EXP-3D
   * objective (Problem 1), equivalent to solving the paper's MILP with CPLEX
-  * (validated in tests against brute-force enumeration of the MILP built by
-  * [[MilpBuilder]]).
+  * (validated in tests against brute-force enumeration of that MILP, built
+  * by the test-scope `MilpBuilder`).
   *
   * Structure exploited: in a valid mapping (Def. 3.2) at least one side has
   * degree ≤ 1, so every connected component of the *selected* mapping is a
@@ -14,9 +14,9 @@ import scala.collection.mutable.ArrayBuffer
   * optimal value-based explanations have closed form — a balanced star keeps
   * all impacts (cost b per tuple), an unbalanced star changes exactly one
   * impact (one c, rest b), and an unmatched kept tuple must refine its impact
-  * to 0. An unmatched tuple therefore costs `max(costDelete, zeroCost)`.
-  * The search branches only on match selection, with constraint propagation
-  * on degree caps and an optimistic per-leaf bound.
+  * to 0; [[Model.Params]] holds this star cost model. The search branches
+  * only on match selection, with constraint propagation on degree caps and
+  * an optimistic per-leaf bound.
   *
   * Node/time caps make large instances return the best incumbent with
   * `proved = false` — exactly the behaviour that motivates the paper's
@@ -36,10 +36,6 @@ object ExplainSolver {
       "duplicate (left,right) pairs in matches — dedupe keeping max p upstream")
     val deadline = System.nanoTime() + config.timeLimitMs * 1000000L
 
-    // Orient so leaves are on a capped side: for ⊒ hubs are T1 tuples.
-    val hubSide = if (inst.phi == Phi.MoreGeneral) 1 else 2
-    val hubsCapped = inst.phi == Phi.Equiv
-
     // Split into connected components of the candidate bipartite graph; each
     // is an independent subproblem (presolve step of any MILP solver).
     val uf = new Scoring.UnionFind(inst.tupleById.keys)
@@ -55,26 +51,17 @@ object ExplainSolver {
     val evidence = Set.newBuilder[(Long, Long)]
 
     val p = inst.params
-    def unmatchedCost(t: CTuple): Double = {
-      val zeroCost = if (t.impact == 0.0) p.costKeep else p.costChange
-      math.max(p.costDelete, zeroCost)
-    }
-    def emitUnmatched(t: CTuple): Unit = {
-      // Mirror unmatchedCost exactly: keep-at-zero is free only when the
-      // impact is already 0 AND keeping beats deleting (α near 0.5 can make
-      // deletion cheaper than even an unchanged keep).
-      val zeroCost = if (t.impact == 0.0) p.costKeep else p.costChange
-      if (p.costDelete >= zeroCost) delta += t.id
+    def emitUnmatched(t: CTuple): Unit =
+      if (p.deletesUnmatched(t.impact)) delta += t.id
       else if (t.impact != 0.0) values += t.id -> ValueChange(t.id, t.impact, 0.0)
-    }
 
     for ((root, tuples) <- tuplesByComp.toSeq.sortBy(_._1)) {
       val ms = matchesByComp.getOrElse(root, Vector.empty)
       if (ms.isEmpty) {
         // Singleton (or matchless) tuples: closed form.
-        tuples.foreach { t => totalLogProb += unmatchedCost(t); emitUnmatched(t) }
+        tuples.foreach { t => totalLogProb += p.unmatchedCost(t.impact); emitUnmatched(t) }
       } else {
-        val comp = new Component(tuples.toVector, ms, hubSide, hubsCapped, p)
+        val comp = new Component(tuples.toVector, ms, inst.phi, p)
         val res = comp.solve(config.nodeCap, deadline)
         proved &&= res.proved
         nodes += res.nodesUsed
@@ -84,13 +71,12 @@ object ExplainSolver {
         val matchedTuples = scala.collection.mutable.Set.empty[Long]
         selected.foreach { case (l, r) => evidence += ((l, r)); matchedTuples += l; matchedTuples += r }
         // Stars: group selected edges by hub; unbalanced → change hub impact.
-        val hubOf: ((Long, Long)) => Long = if (hubSide == 1) _._1 else _._2
-        val leafOf: ((Long, Long)) => Long = if (hubSide == 1) _._2 else _._1
-        selected.groupBy(hubOf).foreach { case (hub, es) =>
-          val leafSum = es.iterator.map(e => inst.tupleById(leafOf(e)).impact).sum
-          val hubImp = inst.tupleById(hub).impact
-          if (math.abs(leafSum - hubImp) > 1e-9)
-            values += hub -> ValueChange(hub, hubImp, leafSum)
+        selected.map { case (l, r) => inst.phi.hubAndLeaf(l, r) }.groupMap(_._1)(_._2).foreach {
+          case (hub, leaves) =>
+            val leafSum = leaves.iterator.map(inst.tupleById(_).impact).sum
+            val hubImp = inst.tupleById(hub).impact
+            if (Params.unbalanced(leafSum, hubImp))
+              values += hub -> ValueChange(hub, hubImp, leafSum)
         }
         tuples.foreach(t => if (!matchedTuples.contains(t.id)) emitUnmatched(t))
       }
@@ -126,19 +112,17 @@ object ExplainSolver {
   private final class Component(
       tuples: Vector[CTuple],
       ms: Vector[TupleMatch],
-      hubSide: Int,
-      hubsCapped: Boolean,
+      phi: Phi,
       p: Params,
   ) {
+    // Leaves sit on a capped side; hubs are capped too only under ≡.
+    private val hubsCapped = phi == Phi.Equiv
     private val nT = tuples.size
     private val idxOf = tuples.iterator.map(_.id).zipWithIndex.toMap
-    private val isHub = tuples.map(_.side == hubSide).toArray
+    private val isHub = tuples.map(_.side == phi.hubSide).toArray
     private val impact = tuples.map(_.impact).toArray
-    private val uCost = tuples.map { t =>
-      math.max(p.costDelete, if (t.impact == 0.0) p.costKeep else p.costChange)
-    }.toArray
+    private val uCost = tuples.map(t => p.unmatchedCost(t.impact)).toArray
     private val b = p.costKeep
-    private val c = p.costChange
 
     private val nE = ms.size
     private val eLeaf = new Array[Int](nE)
@@ -148,7 +132,7 @@ object ExplainSolver {
       var i = 0
       while (i < nE) {
         val m = ms(i)
-        val (hubId, leafId) = if (hubSide == 1) (m.left, m.right) else (m.right, m.left)
+        val (hubId, leafId) = phi.hubAndLeaf(m.left, m.right)
         eLeaf(i) = idxOf(leafId); eHub(i) = idxOf(hubId)
         eGain(i) = math.log(m.p) - math.log(1 - m.p)
         i += 1
@@ -203,15 +187,7 @@ object ExplainSolver {
       while (i < es.length) { markDirty(eLeaf(es(i))); i += 1 }
     }
 
-    private def hubTerm(h: Int): Double =
-      if (hubCount(h) == 0) uCost(h)
-      else {
-        val penalty = if (math.abs(hubLeafSum(h) - impact(h)) > 1e-9) b - c else 0.0
-        b * (hubCount(h) + 1) - penalty
-      }
-
-    private def pen(h: Int): Double =
-      if (hubCount(h) > 0 && math.abs(hubLeafSum(h) - impact(h)) > 1e-9) b - c else 0.0
+    private def hubTerm(h: Int): Double = p.starCost(hubCount(h), hubLeafSum(h), impact(h))
 
     private val allNonNeg = impact.forall(_ >= 0.0)
 
@@ -280,16 +256,16 @@ object ExplainSolver {
               // star is that single edge) and provably unavoidable when
               // impacts are non-negative and the leaf already overshoots
               // the hub. Joining an existing star: Δf ≤ gain + (b−u(l)) +
-              // pen(h) (at best an unbalanced star becomes balanced).
+              // the star's current penalty (at best it becomes balanced).
               // Anything looser creates phantom gains that defeat pruning.
               val hubLift =
                 if (hubCount(h) == 0) {
                   val unavoidablePen =
-                    if (hubsCapped) { if (math.abs(impact(l) - impact(h)) > 1e-9) b - c else 0.0 }
-                    else if (allNonNeg && impact(l) > impact(h) + 1e-9) b - c
+                    if (hubsCapped) p.changePenalty(impact(l), impact(h))
+                    else if (allNonNeg && impact(l) > impact(h) + 1e-9) b - p.costChange
                     else 0.0
                   (b - uCost(h)) - unavoidablePen
-                } else pen(h)
+                } else p.changePenalty(hubLeafSum(h), impact(h))
               val g = eGain(e) + (b - uCost(l)) + hubLift
               if (g > bestE) bestE = g
             }

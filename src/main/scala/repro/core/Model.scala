@@ -24,15 +24,19 @@ object Model {
     def capsLeft: Boolean = this != Phi.MoreGeneral
     /** Does a valid mapping bound the degree of T2 (right) tuples by 1? */
     def capsRight: Boolean = this != Phi.LessGeneral
+    /** The side of a star's hub: the side φ leaves uncapped (T1 under ⊒,
+      * T2 under ⊑; under ≡ both sides are capped and the hub is on T2).
+      */
+    def hubSide: Int = if (capsLeft) 2 else 1
+    /** A match's (hub, leaf) ids under this orientation. */
+    def hubAndLeaf(left: Long, right: Long): (Long, Long) =
+      if (hubSide == 1) (left, right) else (right, left)
   }
   object Phi {
     case object Equiv       extends Phi
     case object LessGeneral extends Phi // ⊑ : many-to-one (T1 → T2)
     case object MoreGeneral extends Phi // ⊒ : one-to-many (T1 → T2)
   }
-
-  /** An attribute match `(A_i φ A_j)` between the two queries' relations. */
-  final case class AttributeMatch(leftAttrs: Seq[String], rightAttrs: Seq[String], phi: Phi)
 
   /** A canonical tuple (a row of T1 or T2, Def. 3.1).
     *
@@ -65,6 +69,11 @@ object Model {
   /** Prior parameters of the probabilistic model (Section 3.1): α is the
     * a-priori probability a tuple is covered by both datasets, β that its
     * impact is correct. Both in (0.5, 1].
+    *
+    * Also the star cost model that the objective reduces to for a valid
+    * mapping: every selected star costs b per tuple plus one changed impact
+    * c when unbalanced, and an unmatched tuple is deleted or refined to 0,
+    * whichever is cheaper.
     */
   final case class Params(alpha: Double = 0.9, beta: Double = 0.9) {
     require(alpha > 0.5 && alpha < 1.0, s"alpha must be in (0.5,1), got $alpha")
@@ -75,6 +84,37 @@ object Model {
     val costKeep: Double = math.log(alpha) + math.log(beta)
     /** log Pr(t ∉ Δ, t ∈ δ): tuple kept with a changed impact. */
     val costChange: Double = math.log(alpha) + math.log(1 - beta)
+
+    /** Cost of keeping an unmatched tuple: its impact must be refined to 0,
+      * which is free only when it already is 0.
+      */
+    private def keepAtZeroCost(impact: Double): Double =
+      if (impact == 0.0) costKeep else costChange
+
+    /** An unmatched tuple's cost: deleted, or kept at impact 0. */
+    def unmatchedCost(impact: Double): Double = math.max(costDelete, keepAtZeroCost(impact))
+
+    /** Whether the optimum deletes an unmatched tuple (ties delete); if not,
+      * it keeps the tuple and refines a non-zero impact to 0.
+      */
+    def deletesUnmatched(impact: Double): Boolean = costDelete >= keepAtZeroCost(impact)
+
+    /** What an unbalanced star pays for its one changed impact. */
+    def changePenalty(leafSum: Double, hubImpact: Double): Double =
+      if (Params.unbalanced(leafSum, hubImpact)) costKeep - costChange else 0.0
+
+    /** Tuple cost of a hub with `leaves` selected leaves whose impacts sum to
+      * `leafSum`: b per tuple, less the change penalty; a hub without
+      * leaves is an unmatched tuple.
+      */
+    def starCost(leaves: Int, leafSum: Double, hubImpact: Double): Double =
+      if (leaves == 0) unmatchedCost(hubImpact)
+      else costKeep * (leaves + 1) - changePenalty(leafSum, hubImpact)
+  }
+
+  object Params {
+    /** Whether two impact sums differ beyond floating-point noise. */
+    def unbalanced(a: Double, b: Double): Boolean = math.abs(a - b) > 1e-9
   }
 
   /** One EXP-3D problem instance over canonical relations (Problem 1). */

@@ -94,7 +94,10 @@ object Scoring {
       case Some(_) => Double.NegativeInfinity
     }
 
-  /** Minimal union-find over tuple ids, used for component extraction. */
+  /** Union-find over tuple ids, used for component extraction and
+    * pre-partitioning. `union(a, b)` links a's root under b's, so roots
+    * (which order `PrePartition`'s coarse nodes) depend on that rule.
+    */
   final class UnionFind(ids: Iterable[Long]) {
     private val parent = scala.collection.mutable.Map.empty[Long, Long]
     ids.foreach(id => parent(id) = id)

@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.Model.Phi
+import repro.core.Model.{Params, Phi}
 
 /** Gold-standard derivation, mirroring the paper's methodology: the
   * synthetic generators thread a hidden true-entity identifier (`uid`)
@@ -52,7 +52,6 @@ object Gold {
 
     val expl = Set.newBuilder[Item]
     val ev = Set.newBuilder[(String, String)]
-    val hubSide = if (phi == Phi.MoreGeneral) 1 else 2
 
     joined.foreach { row =>
       val lKeys = Option(row.getAs[scala.collection.Seq[String]]("lKeys")).map(_.toSeq).getOrElse(Seq.empty)
@@ -64,9 +63,9 @@ object Gold {
           for (lk <- lKeys; rk <- rKeys) ev += ((lk, rk))
           val lSum = row.getAs[Double]("lSum")
           val rSum = row.getAs[Double]("rSum")
-          if (math.abs(lSum - rSum) > 1e-9) {
-            val key = if (hubSide == 1) lKeys.head else rKeys.head
-            expl += (("value", hubSide, key))
+          if (Params.unbalanced(lSum, rSum)) {
+            val key = if (phi.hubSide == 1) lKeys.head else rKeys.head
+            expl += (("value", phi.hubSide, key))
           }
         case _ => ()
       }

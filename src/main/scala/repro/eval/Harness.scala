@@ -1,6 +1,7 @@
 package repro.eval
 
 import repro.baselines.{Algorithm, SolverBacked}
+import repro.core.Scoring
 import repro.core.Pipeline.PreparedPair
 import repro.eval.Metrics.PRF
 
@@ -27,7 +28,10 @@ object Harness {
   }
 
   /** Runs `algo` on the pair. Only a solver-backed algorithm can be
-    * unproved: its solve may stop at a node or time cap.
+    * unproved: its solve may stop at a node or time cap. A solver-backed
+    * result must be complete (Def. 3.4), checked outside the timed span;
+    * baselines are exempt because their decode does not enforce the
+    * valid-mapping caps.
     */
   def run(algo: Algorithm, pair: PreparedPair, pairName: String): AlgoResult = {
     val t0 = System.nanoTime()
@@ -38,6 +42,10 @@ object Harness {
       case _ => (algo.derive(pair.inst), true)
     }
     val ms = (System.nanoTime() - t0) / 1000000
+    if (algo.isInstanceOf[SolverBacked])
+      Scoring.completenessViolation(pair.inst, e).foreach { v =>
+        throw new IllegalStateException(s"${algo.name} on $pairName returned an incomplete explanation: $v")
+      }
     val expl = Metrics.prf(Metrics.explanationItems(e, pair.keyOf), pair.gold.explanations)
     val evid = Metrics.prf(Metrics.evidenceItems(e, pair.keyOf), pair.gold.evidence)
     AlgoResult(algo.name, pairName, expl, evid, ms, proved)

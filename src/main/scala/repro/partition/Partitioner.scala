@@ -17,11 +17,14 @@ import scala.collection.mutable
   */
 object Partitioner {
 
+  /** Kernighan–Lin refinement passes after the greedy growth. */
+  private val RefinePasses = 2
+
   /** Returns the partition index of each coarse node. The number of parts is
     * driven by `lMax`; `k` is a target used to pre-size structures (the
     * greedy pass may open more parts when connectivity is sparse).
     */
-  def partition(g: CoarseGraph, k: Int, lMax: Int, refinePasses: Int = 2): Array[Int] = {
+  def partition(g: CoarseGraph, k: Int, lMax: Int): Array[Int] = {
     val n = g.nodes.size
     val assign = Array.fill(n)(-1)
     if (n == 0) return assign
@@ -67,7 +70,7 @@ object Partitioner {
     // largest positive gain while respecting lMax.
     var pass = 0
     var moved = true
-    while (pass < refinePasses && moved) {
+    while (pass < RefinePasses && moved) {
       moved = false
       for (v <- 0 until n if adj(v).nonEmpty) {
         val cur = assign(v)

@@ -1,6 +1,7 @@
 package repro.partition
 
 import repro.core.Model.{Instance, TupleMatch}
+import repro.core.Scoring
 import scala.collection.mutable
 
 /** Pre-partitioning (Algorithm 2): merge tuples connected by
@@ -35,28 +36,16 @@ object PrePartition {
 
   def run(tupleIds: Vector[Long], matches: Vector[TupleMatch], cfg: Config): CoarseGraph = {
     // Union-find merge over high-probability matches (FindHighProbTuplesDFS
-    // in the paper — union-find is the iterative equivalent).
-    val parent = mutable.Map.empty[Long, Long]
-    tupleIds.foreach(id => parent(id) = id)
-    def find(x: Long): Long = {
-      var r = x
-      while (parent(r) != r) r = parent(r)
-      var c = x
-      while (parent(c) != r) { val n = parent(c); parent(c) = r; c = n }
-      r
-    }
-    matches.foreach { m =>
-      if (m.p >= cfg.thetaH) {
-        val (ra, rb) = (find(m.left), find(m.right))
-        if (ra != rb) parent(ra) = rb
-      }
-    }
+    // in the paper — union-find is the iterative equivalent). Coarse nodes
+    // are ordered by root id, so the roots fix the partitioner's tie breaks.
+    val uf = new Scoring.UnionFind(tupleIds)
+    matches.foreach(m => if (m.p >= cfg.thetaH) uf.union(m.left, m.right))
 
-    val roots = tupleIds.map(find).distinct.sorted
+    val roots = tupleIds.map(uf.find).distinct.sorted
     val nodeIdx = roots.zipWithIndex.toMap
     val members = Array.fill(roots.size)(Vector.newBuilder[Long])
-    tupleIds.foreach(id => members(nodeIdx(find(id))) += id)
-    val nodeOf = tupleIds.iterator.map(id => id -> nodeIdx(find(id))).toMap
+    tupleIds.foreach(id => members(nodeIdx(uf.find(id))) += id)
+    val nodeOf = tupleIds.iterator.map(id => id -> nodeIdx(uf.find(id))).toMap
 
     // Aggregate edge weights between distinct coarse nodes.
     val edges = mutable.Map.empty[(Int, Int), Double]

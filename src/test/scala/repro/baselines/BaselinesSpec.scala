@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Model._
-import repro.core.ScoringSpec
+import repro.core.{PinnedInstances, ScoringSpec}
 
 class BaselinesSpec extends AnyFunSuite {
 
@@ -111,5 +111,41 @@ class BaselinesSpec extends AnyFunSuite {
     val eb = b.derive(fig3)
     assert(ea.evidence.size == 6)
     assert(eb.evidence.nonEmpty)
+  }
+
+  test("pinned GREEDY and evidence decode on seeded random instances") {
+    // Digests recorded before the star cost model moved onto Params: 40x40
+    // instances covering every φ, zero and negative impacts and non-default
+    // α/β (PinnedInstances.instance). Decode gets a random evidence subset.
+    val expected = Seq(
+      // (case, Greedy.derive digest, decode digest)
+      (0, "1e749d4e04d20c2d", "424dc1cee41c9b14"),
+      (1, "9f17ffcb41c8e43b", "58436b5534c0eaa8"),
+      (2, "b002360588b08e1d", "9f3afc18890946bb"),
+      (3, "4acf90efabecac9d", "409e010fc8a98b65"),
+      (4, "96716fdbab4ea7b1", "847e3bc3f6d4be3c"),
+      (5, "b920d48c52ce3544", "d5ee146ec2ea430a"),
+      (6, "a4e2a01ff3dd51d8", "afabd390d15aa864"),
+      (7, "ba35777adbebd4f4", "d61e00ada7725d00"),
+      (8, "dd5f0276e67cf892", "f6c58436bfcd9051"),
+      (9, "fe1cdf8752282483", "e15e6841e0e587f4"),
+      (10, "eb999ad704a2855d", "b11c7752e2ed9e08"),
+      (11, "f53e4a3586c93d9b", "e4400ee67ea5f5d9"),
+      (12, "280f874dde6966de", "edbe80dcd1a4fdc0"),
+      (13, "f2e22ff8a3bd4972", "d62a671d796de3f0"),
+      (14, "e2107d6cec0668ba", "cca21cae82a600ef"),
+      (15, "29ace74dd826e1fe", "8cc8e4e6574a991d"),
+      (16, "b615b147abaf942b", "26760791c015cd69"),
+      (17, "d633e4166d2039e0", "f3ce3e3524442be4"),
+      (18, "9ea7b41a8b90b212", "2a421403c2d0c31b"),
+      (19, "a35baf54648e4358", "ca84a373b65d477c"),
+    )
+    assert(expected.map(_._1) == PinnedInstances.Cases)
+    for ((i, greedy, decode) <- expected) {
+      val inst = PinnedInstances.instance(i, 40, 0.05)
+      assert(PinnedInstances.explanations(Greedy.derive(inst)) == greedy, s"case $i: GREEDY")
+      val e = EvidenceToExplanations.decode(inst, PinnedInstances.someEvidence(inst, i))
+      assert(PinnedInstances.explanations(e) == decode, s"case $i: decode")
+    }
   }
 }

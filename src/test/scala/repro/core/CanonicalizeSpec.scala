@@ -66,7 +66,13 @@ class CanonicalizeSpec extends SparkSpec {
   }
 
   test("canonical SUM query equals DuckDB on synthetic lineitem slice") {
-    val li = repro.SynthData.lineitem(spark, sf = 0.001).limit(2000).cache()
+    // A 2000-row lineitem slice: quantity 1..50, prices with cents, three
+    // return flags.
+    val li = spark.range(2000).select(
+      (col("id") % 50 + 1).cast("double").as("l_quantity"),
+      round(col("id") * 7919 % 90000 + 900 + col("id") % 100 / 100.0, 2).as("l_extendedprice"),
+      element_at(array(lit("N"), lit("R"), lit("A")), (col("id") % 3 + 1).cast("int")).as("l_returnflag"),
+    )
     val p = Provenance.relation(li.filter(col("l_quantity") > 25), Output.Sum("l_extendedprice"))
     val t = Canonicalize.canonical(p, Seq("l_returnflag"))
       .select(col("l_returnflag"), round(col("I"), 2).as("total"))

@@ -6,17 +6,18 @@ import repro.eval.Gold.GoldStandard
 
 /** Exact digests of stage-1 output, for pinning it across changes. Doubles
   * enter by their bit patterns, so any change in a probability or impact
-  * changes the digest.
+  * changes the digest. `sha` and `bits` are shared with
+  * [[PinnedInstances]]'s stage-2 digests.
   */
 object Stage1Digest {
 
-  private def sha(lines: Iterator[String]): String = {
+  def sha(lines: Iterator[String]): String = {
     val md = MessageDigest.getInstance("SHA-256")
     lines.foreach(l => md.update((l + "\n").getBytes("UTF-8")))
     md.digest().map(b => f"${b & 0xff}%02x").mkString.take(16)
   }
 
-  private def bits(x: Double): String = java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(x))
+  def bits(x: Double): String = java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(x))
 
   /** The match list in instance order: (left, right, p). */
   def matches(ms: Seq[TupleMatch]): String =

@@ -2,7 +2,7 @@ package repro.partition
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Model._
-import repro.core.{ExplainSolver, Scoring}
+import repro.core.{ExplainSolver, PinnedInstances, Scoring}
 
 class PartitionSpec extends AnyFunSuite {
 
@@ -99,5 +99,41 @@ class PartitionSpec extends AnyFunSuite {
     val inst = chainInstance(24, crossP = 0.4)
     val parted = SmartPartition.solve(inst, SmartPartition.Config(batchSize = 6), ExplainSolver.Config())
     assert(Scoring.completenessViolation(inst, parted.explanations).isEmpty)
+  }
+
+  test("pinned BATCH-100 pre-partition and split on seeded random instances") {
+    // Digests recorded before PrePartition used Scoring.UnionFind: 150x150
+    // instances (PinnedInstances.instance). Coarse-node order follows the
+    // union-find roots and the partitioner's tie breaks follow that order.
+    val expected = Seq(
+      // (case, PrePartition.run digest, SmartPartition.split digest)
+      (0, "5f6e587a5acbad0f", "081521c7a611afde"),
+      (1, "12505260646553f1", "5bb764e4425ad67e"),
+      (2, "d58d9d11961367b1", "5843a5f34702de7f"),
+      (3, "2ff73ff097fcbc3c", "e3195cdc65ffcb88"),
+      (4, "437430d3a1786b11", "651d54dcb8f2cc6d"),
+      (5, "5fb2115f5d9a1d10", "0e3e1080bfdf71c1"),
+      (6, "8a3b8db6d8ccf50f", "85bfdc9b21195f03"),
+      (7, "a6d377ac1e52687f", "73b82278b6f6f9df"),
+      (8, "ffe44b8966a8b73d", "28fc08b73c56a4ca"),
+      (9, "949275a0d444c667", "a2414f7a50ed5753"),
+      (10, "7facb5b3be501c30", "58ff3a0070f5731e"),
+      (11, "e27343fd5120d2d3", "b61b8dbb2c548c15"),
+      (12, "186ea66380ad8855", "3c71f1470b902be3"),
+      (13, "e8df2df6a3c11401", "38dc6b2f5142b734"),
+      (14, "4edb3a93ffe3ea12", "1725f57068e3b6f9"),
+      (15, "1eae094fef4f0500", "7ed87b4db6d8ac1b"),
+      (16, "d816f2e9d45f15fc", "e3ecbd04d711e923"),
+      (17, "cb961c299c7cd0e3", "71c4f84d2355865f"),
+      (18, "10f1b103cdabc4b9", "85c23c25da4fd4c1"),
+      (19, "dc2d000a977a831d", "693111fb74394068"),
+    )
+    assert(expected.map(_._1) == PinnedInstances.Cases)
+    val cfg = SmartPartition.Config(batchSize = 100)
+    for ((i, coarse, split) <- expected) {
+      val inst = PinnedInstances.instance(i, 150, 0.02)
+      assert(PinnedInstances.coarse(PrePartition.run(inst, cfg.pre)) == coarse, s"case $i: pre-partition")
+      assert(PinnedInstances.split(SmartPartition.split(inst, cfg)) == split, s"case $i: split")
+    }
   }
 }

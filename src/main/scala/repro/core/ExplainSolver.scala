@@ -20,7 +20,9 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Node/time caps make large instances return the best incumbent with
   * `proved = false` — exactly the behaviour that motivates the paper's
-  * smart-partitioning optimizer.
+  * smart-partitioning optimizer. This is the only stage-2 solve loop: NOOPT
+  * solves with one group, and smart partitioning (BATCH) passes its
+  * partition as the grouping, which only decides which matches are cut.
   */
 object ExplainSolver {
 
@@ -30,20 +32,30 @@ object ExplainSolver {
     */
   final case class Config(nodeCap: Long = 5_000_000L, timeLimitMs: Long = 120_000L)
 
-  def solve(inst: Instance, config: Config = Config()): Solution = {
+  /** Solves `inst` exactly, one connected component at a time.
+    *
+    * `groupOf` assigns each tuple to a group (a smart partition); by default
+    * all tuples share one. A match whose ends lie in different groups is
+    * cut: it never joins a component and is never evidence, and it adds
+    * its unselected cost log(1−p). One deadline covers the whole solve, the
+    * node cap applies per component, and the solution is proved only if
+    * every component is.
+    */
+  def solve(inst: Instance, config: Config = Config(), groupOf: Long => Int = _ => 0): Solution = {
     require(
       inst.matches.map(m => (m.left, m.right)).distinct.size == inst.matches.size,
-      "duplicate (left,right) pairs in matches — dedupe keeping max p upstream")
+      "duplicate (left,right) pairs in matches — stage 1 emits one match per pair")
     val deadline = System.nanoTime() + config.timeLimitMs * 1000000L
+    val (kept, cut) = inst.matches.partition(m => groupOf(m.left) == groupOf(m.right))
 
-    // Split into connected components of the candidate bipartite graph; each
+    // Split into connected components of the uncut candidate graph; each
     // is an independent subproblem (presolve step of any MILP solver).
     val uf = new Scoring.UnionFind(inst.tupleById.keys)
-    inst.matches.foreach(m => uf.union(m.left, m.right))
+    kept.foreach(m => uf.union(m.left, m.right))
     val tuplesByComp = inst.tupleById.values.toSeq.groupBy(t => uf.find(t.id))
-    val matchesByComp = inst.matches.groupBy(m => uf.find(m.left))
+    val matchesByComp = kept.groupBy(m => uf.find(m.left))
 
-    var totalLogProb = 0.0
+    var totalLogProb = cut.iterator.map(m => math.log(1 - m.p)).sum
     var proved = true
     var nodes = 0L
     val delta = Set.newBuilder[Long]

@@ -23,31 +23,26 @@ object Pipeline {
       inst: Instance,
       keyOf: Map[Long, (Int, String)],
       gold: Gold.GoldStandard,
-      leftCanon: DataFrame,
-      rightCanon: DataFrame,
-      matchAttrs: Seq[String],
       stats: PairStats,
   )
 
-  /** What stage 1 produced for one pair and where its time went: wall
-    * seconds of each phase of [[prepare]] (gold derivation, the tuple
-    * collect, the candidate + calibration collect, the driver-side dedupe),
-    * and the candidate pairs collected against the matches kept
-    * (`nMatches`).
+  /** What stage 1 produced for one pair and where its time went: the
+    * tuple and match counts, and wall seconds of each phase of [[prepare]]
+    * (gold derivation, the tuple collect, the candidate + calibration
+    * collect, the driver-side sort).
     */
   final case class PairStats(
       t1: Int,
       t2: Int,
       nMatches: Int,
-      candidates: Long = 0L,
       goldS: Double = 0.0,
       tuplesS: Double = 0.0,
       candidatesS: Double = 0.0,
-      dedupeS: Double = 0.0,
+      sortS: Double = 0.0,
   ) {
     def phases: String =
       f"stage 1: gold $goldS%.3fs, tuples $tuplesS%.3fs, candidates $candidatesS%.3fs, " +
-        f"dedupe $dedupeS%.3fs; $candidates candidate pairs, $nMatches kept"
+        f"sort $sortS%.3fs; $nMatches candidate matches"
   }
 
   object PairStats {
@@ -55,8 +50,8 @@ object Pipeline {
     def mean(ss: Seq[PairStats]): PairStats = {
       val n = ss.size
       PairStats(ss.map(_.t1).sum / n, ss.map(_.t2).sum / n, ss.map(_.nMatches).sum / n,
-        ss.map(_.candidates).sum / n, ss.map(_.goldS).sum / n, ss.map(_.tuplesS).sum / n,
-        ss.map(_.candidatesS).sum / n, ss.map(_.dedupeS).sum / n)
+        ss.map(_.goldS).sum / n, ss.map(_.tuplesS).sum / n,
+        ss.map(_.candidatesS).sum / n, ss.map(_.sortS).sum / n)
     }
   }
 
@@ -76,28 +71,10 @@ object Pipeline {
     } finally sc.setLocalProperty(JobDescription, caller)
   }
 
-  /** Orders matches by (left, right). */
+  /** Orders matches by (left, right): the edge order stage 2 sees. */
   private val byPair: Ordering[TupleMatch] = (a, b) => {
     val c = java.lang.Long.compare(a.left, b.left)
     if (c != 0) c else java.lang.Long.compare(a.right, b.right)
-  }
-
-  /** Sorts by (left, right) and keeps the first max-p match of each pair. */
-  private[core] def dedupe(ms: Array[TupleMatch]): Vector[TupleMatch] = {
-    val sorted = ms.sorted(byPair)
-    val out = Vector.newBuilder[TupleMatch]
-    var i = 0
-    while (i < sorted.length) {
-      var best = sorted(i)
-      var j = i + 1
-      while (j < sorted.length && sorted(j).left == best.left && sorted(j).right == best.right) {
-        if (sorted(j).p > best.p) best = sorted(j)
-        j += 1
-      }
-      out += best
-      i = j
-    }
-    out.result()
   }
 
   /** Assigns a deterministic 0-based `cid` by sorting on the key columns. */
@@ -106,16 +83,16 @@ object Pipeline {
     canon.withColumn("cid", row_number().over(w).cast("long") - 1)
   }
 
-  /** Full stage-1 preparation of one comparable query pair. */
+  /** Full stage-1 preparation of one comparable query pair, under the
+    * default priors and calibration. Candidates are unique per (lid, rid):
+    * the similarity join emits distinct pairs and calibration one row per
+    * pair, so the matches need only be sorted.
+    */
   def prepare(
       leftCanon: DataFrame,
       rightCanon: DataFrame,
       attrs: Seq[KeyAttr],
       phi: Phi,
-      params: Params = Params(),
-      buckets: Int = Calibration.DefaultBuckets,
-      labelFraction: Double = 0.5,
-      seed: Long = 42,
       simFloor: Double = 0.0,
   ): PreparedPair = {
     val matchAttrs = attrs.map(_.name)
@@ -133,7 +110,7 @@ object Pipeline {
         rc.filter(col("uid").isNotNull).select(col("cid").as("rid"), col("uid").as("r_uid")),
         col("l_uid") === col("r_uid"))
       .select("lid", "rid")
-    val probs = Calibration.calibrate(sims, goldEvCid, buckets, labelFraction, seed)
+    val probs = Calibration.calibrate(sims, goldEvCid)
 
     val sc = lc.sparkSession.sparkContext
     val (gold, goldS) = phase(sc, "gold")(Gold.derive(lc, rc, matchAttrs, phi))
@@ -162,12 +139,12 @@ object Pipeline {
     val (candidates, candidatesS) = phase(sc, "candidates")(
       probs.select("lid", "rid", "p").collect()
         .map { case Row(l: Long, r: Long, p: Double) => TupleMatch(l, r + offset, p) })
-    val (matches, dedupeS) = phase(sc, "dedupe")(dedupe(candidates))
+    lc.unpersist()
+    rc.unpersist()
+    val (matches, sortS) = phase(sc, "sort")(candidates.sorted(byPair).toVector)
 
-    val inst = Instance(t1, t2, matches, phi, params)
+    val inst = Instance(t1, t2, matches, phi)
     val keyOf = (t1 ++ t2).map(t => t.id -> (t.side, t.key.mkString("|"))).toMap
-    val stats = PairStats(t1.size, t2.size, matches.size, candidates.length.toLong,
-      goldS, tuplesS, candidatesS, dedupeS)
-    PreparedPair(inst, keyOf, gold, lc, rc, matchAttrs, stats)
+    PreparedPair(inst, keyOf, gold, PairStats(t1.size, t2.size, matches.size, goldS, tuplesS, candidatesS, sortS))
   }
 }

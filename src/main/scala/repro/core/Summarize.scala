@@ -22,15 +22,17 @@ object Summarize {
     def size: Int = patterns.size + uncovered
   }
 
-  /** @param targets       attribute maps of explanation tuples
-    * @param others        attribute maps of non-explanation tuples
-    * @param falsePosCost  penalty per covered non-target (Data X-Ray's
-    *                      accuracy/conciseness trade-off knob)
+  /** Penalty per covered non-target (Data X-Ray's accuracy/conciseness
+    * trade-off).
+    */
+  private val FalsePosCost = 2.0
+
+  /** @param targets attribute maps of explanation tuples
+    * @param others  attribute maps of non-explanation tuples
     */
   def summarize(
       targets: Seq[Map[String, String]],
       others: Seq[Map[String, String]],
-      falsePosCost: Double = 2.0,
       maxPatterns: Int = 64,
   ): Summary = {
     var remaining = targets.zipWithIndex.toSet
@@ -44,7 +46,7 @@ object Summarize {
       }
       val best = counts.iterator.map { case ((a, v), cov) =>
         val fp = others.count(_.get(a).contains(v))
-        ((a, v), cov, cov - falsePosCost * fp)
+        ((a, v), cov, cov - FalsePosCost * fp)
       }.filter(_._2 >= 2).maxByOption(c => (c._3, c._2, c._1))
       best match {
         case Some(((a, v), cov, score)) if score > 1.0 =>

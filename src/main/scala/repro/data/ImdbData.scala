@@ -30,13 +30,15 @@ object ImdbData {
       movies: Int = 2000,
       actors: Int = 2400,
       directors: Int = 600,
-      titleVocab: Int = 400,
-      corruptRate: Double = 0.05,
-      dropRate: Double = 0.02,
       seed: Long = 31,
   ) {
     def persons: Int = actors + directors
   }
+
+  /** Title vocabulary size, and the per-view corruption and drop rates. */
+  private val TitleVocab = 400
+  private val CorruptRate = 0.05
+  private val DropRate = 0.02
 
   val genreNames: Seq[String] = Seq("action", "comedy", "drama", "horror", "scifi",
     "romance", "thriller", "documentary", "animation", "crime", "fantasy", "western")
@@ -63,7 +65,7 @@ object ImdbData {
     val id = col("id")
     def h(s: Long) = hash(id, lit(cfg.seed + s))
     def titleWord(idc: org.apache.spark.sql.Column, k: Int) =
-      concat(lit("t"), pmod(hash(idc * 17 + lit(k), lit(cfg.seed)), lit(cfg.titleVocab)))
+      concat(lit("t"), pmod(hash(idc * 17 + lit(k), lit(cfg.seed)), lit(TitleVocab)))
     val isSequel = pmod(h(70), lit(4)) === 0 && id > 0
     val base = when(isSequel, id - 1).otherwise(id)
     val titleWords = Seq(titleWord(base, 0), titleWord(base, 1), titleWord(id, 2))
@@ -146,29 +148,29 @@ object ImdbData {
     // Title typo (BART-style text error): mutates the last token, so the
     // corrupted title keeps 2 of 3 tokens — the same similarity bucket the
     // sequel families occupy.
-    val typoTitle = when(Bart.flag(col("movie_id"), cfg.seed + 305, cfg.corruptRate),
+    val typoTitle = when(Bart.flag(col("movie_id"), cfg.seed + 305, CorruptRate),
       concat(col("title"), lit("x"))).otherwise(col("title"))
     val movie1 = movies
-      .filter(!Bart.dropped(col("movie_id"), cfg.seed + 301, cfg.dropRate))
+      .filter(!Bart.dropped(col("movie_id"), cfg.seed + 301, DropRate))
       .select(
         col("movie_id"), typoTitle.as("title"), col("release_year"),
         element_at(col("genres"), 1).as("genre"),
         element_at(col("countries"), 1).as("country"),
-        Bart.corruptNumeric(col("runtimes"), col("movie_id"), cfg.seed + 302, cfg.corruptRate, 10.0).as("runtimes"),
-        Bart.corruptNumeric(col("gross"), col("movie_id"), cfg.seed + 303, cfg.corruptRate, 1.0e6).as("gross"),
+        Bart.corruptNumeric(col("runtimes"), col("movie_id"), cfg.seed + 302, CorruptRate, 10.0).as("runtimes"),
+        Bart.corruptNumeric(col("gross"), col("movie_id"), cfg.seed + 303, CorruptRate, 1.0e6).as("gross"),
         col("budget"), col("uid"),
       )
     val actor1 = persons.filter(col("isActor"))
       .select(col("p_id").as("actor_id"), col("firstname"), col("lastname"), col("gender"), col("dob"), col("uid"))
     val director1 = persons.filter(!col("isActor"))
       .select(col("p_id").as("director_id"), col("firstname"), col("lastname"), col("gender"), col("dob"), col("uid"))
-    val movieActor1 = ma.filter(!Bart.dropped(hash(col("movie_id"), col("p_id")), cfg.seed + 304, cfg.dropRate))
+    val movieActor1 = ma.filter(!Bart.dropped(hash(col("movie_id"), col("p_id")), cfg.seed + 304, DropRate))
       .withColumnRenamed("p_id", "actor_id")
     val movieDirector1 = md.withColumnRenamed("p_id", "director_id")
 
     // ---- View 2: full info as (m_id, info_type, info) rows; independent errors.
     val movie2 = movies
-      .filter(!Bart.dropped(col("movie_id"), cfg.seed + 401, cfg.dropRate / 2))
+      .filter(!Bart.dropped(col("movie_id"), cfg.seed + 401, DropRate / 2))
       .select(col("movie_id").as("m_id"), col("title"), col("release_year"), col("uid"))
     def infoRows(tpe: String, valueCol: org.apache.spark.sql.Column) =
       movies.select(col("movie_id").as("m_id"), lit(tpe).as("info_type"), valueCol.cast("string").as("info"))
@@ -179,15 +181,15 @@ object ImdbData {
     val movieInfo2 = Seq(
       genreInfo,
       countryInfo,
-      infoRows("runtimes", Bart.corruptNumeric(col("runtimes"), col("movie_id"), cfg.seed + 402, cfg.corruptRate, 10.0)),
-      infoRows("gross", Bart.corruptNumeric(col("gross"), col("movie_id"), cfg.seed + 403, cfg.corruptRate, 1.0e6)),
+      infoRows("runtimes", Bart.corruptNumeric(col("runtimes"), col("movie_id"), cfg.seed + 402, CorruptRate, 10.0)),
+      infoRows("gross", Bart.corruptNumeric(col("gross"), col("movie_id"), cfg.seed + 403, CorruptRate, 1.0e6)),
       infoRows("budget", col("budget")),
     ).reduce(_ unionByName _)
-      .filter(!Bart.dropped(hash(col("m_id"), col("info_type")), cfg.seed + 404, cfg.dropRate))
+      .filter(!Bart.dropped(hash(col("m_id"), col("info_type")), cfg.seed + 404, DropRate))
     // Lastname typo on view 2's Person (the cross-view name errors BART
     // injects in the paper's setup).
     val name2 = concat_ws(" ", col("firstname"),
-      when(Bart.flag(col("p_id"), cfg.seed + 406, cfg.corruptRate),
+      when(Bart.flag(col("p_id"), cfg.seed + 406, CorruptRate),
         concat(col("lastname"), lit("x"))).otherwise(col("lastname")))
     val person2 = persons.select(
       col("p_id"),
@@ -195,7 +197,7 @@ object ImdbData {
       col("gender"), col("dob"), col("uid"),
     )
     val moviePerson2 = ma.union(md)
-      .filter(!Bart.dropped(hash(col("movie_id"), col("p_id")), cfg.seed + 405, cfg.dropRate))
+      .filter(!Bart.dropped(hash(col("movie_id"), col("p_id")), cfg.seed + 405, DropRate))
       .select(col("movie_id").as("m_id"), col("p_id"))
 
     Views(movie1, actor1, director1, movieActor1, movieDirector1,

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.baselines._
 import repro.core.{ExplainSolver, Pipeline, Summarize}
-import repro.core.Model.{Instance, Phi, Solution}
+import repro.core.Model.Phi
 import repro.core.Similarity.KeyAttr
 import repro.data._
 
@@ -132,7 +132,8 @@ object Experiments {
       algorithm: String, solveMillis: Long, explF1: Double, evidF1: Double, proved: Boolean)
 
   /** One Fig-8 measurement: solve time (match generation excluded, as in the
-    * paper) of NOOPT and the given batch sizes on one generator setting.
+    * paper) of NOOPT and the given batch sizes on one generator setting,
+    * each run through [[Harness.run]].
     */
   def syntheticPoint(
       spark: SparkSession,
@@ -144,17 +145,11 @@ object Experiments {
       SyntheticGen.canonicalSide(spark, cfg, 1),
       SyntheticGen.canonicalSide(spark, cfg, 2),
       Seq(KeyAttr("match_attr")), Phi.Equiv)
-    val algos: Seq[(String, Instance => Solution)] =
-      ("NOOPT" -> Explain3DNoOpt(solverCfg).solve _) +:
-        batchSizes.map(b => s"BATCH-$b" -> Explain3DBatch(b, solverCfg).solve _)
-    algos.map { case (nm, solve) =>
-      val t0 = System.nanoTime()
-      val sol = solve(pair.inst)
-      val ms = (System.nanoTime() - t0) / 1000000
-      val e = sol.explanations
-      val explF1 = Metrics.prf(Metrics.explanationItems(e, pair.keyOf), pair.gold.explanations).f1
-      val evidF1 = Metrics.prf(Metrics.evidenceItems(e, pair.keyOf), pair.gold.evidence).f1
-      SyntheticPoint(cfg.n, cfg.d, cfg.v, nm, ms, explF1, evidF1, sol.proved)
+    val algos = ("NOOPT" -> Explain3DNoOpt(solverCfg)) +:
+      batchSizes.map(b => s"BATCH-$b" -> Explain3DBatch(b, solverCfg))
+    algos.map { case (nm, algo) =>
+      val r = Harness.run(algo, pair, nm)
+      SyntheticPoint(cfg.n, cfg.d, cfg.v, nm, r.solveMillis, r.explanation.f1, r.evidence.f1, r.proved)
     }
   }
 

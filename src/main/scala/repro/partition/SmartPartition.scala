@@ -6,11 +6,13 @@ import repro.core.ExplainSolver
 /** The smart-partitioning algorithm (Algorithm 3) and the partitioned
   * stage-2 solve.
   *
-  * Pre-partition the bipartite match graph (Algorithm 2), partition the
-  * coarse graph with the balanced min-cut partitioner, then solve one
-  * EXP-3D subproblem per partition. Matches cut by the partitioning are
-  * excluded from every subproblem and scored as unselected (log(1−p)), so
-  * the reported objective is comparable with the unpartitioned solve.
+  * Pre-partition the bipartite match graph (Algorithm 2), then partition the
+  * coarse graph with the balanced min-cut partitioner. Solving one EXP-3D
+  * subproblem per partition, with the matches cut by the partitioning left
+  * out and scored as unselected (log(1−p)), is one exact solve over the
+  * match graph without the cut matches: [[ExplainSolver.solve]] with the
+  * partition as its grouping. The reported objective is therefore
+  * comparable with the unpartitioned solve.
   */
 object SmartPartition {
 
@@ -24,24 +26,29 @@ object SmartPartition {
       cutMatches: Vector[TupleMatch],
   )
 
-  /** Splits `inst` into subproblems of ≈`batchSize` tuples each
-    * (`k = ⌈(|T1|+|T2|)/batch⌉`, `L_max = batch`, as in Section 5.3).
+  /** The partition of every tuple of `inst`, into parts of ≈`batchSize`
+    * tuples each (`k = ⌈(|T1|+|T2|)/batch⌉`, `L_max = batch`, as in
+    * Section 5.3).
     */
-  def split(inst: Instance, cfg: Config): Partitioned = {
+  private def partOf(inst: Instance, cfg: Config): Map[Long, Int] = {
     val coarse = PrePartition.run(inst, cfg.pre)
     val total = inst.t1.size + inst.t2.size
     val k = math.max(1, math.ceil(total.toDouble / cfg.batchSize).toInt)
     val assign = Partitioner.partition(coarse, k, cfg.batchSize)
+    coarse.nodeOf.map { case (id, node) => id -> assign(node) }
+  }
 
-    val partOf: Map[Long, Int] = coarse.nodeOf.map { case (id, node) => id -> assign(node) }
-    val nParts = if (assign.isEmpty) 0 else assign.max + 1
+  /** Splits `inst` into one sub-instance per non-empty part, in part order,
+    * and the matches cut between parts.
+    */
+  def split(inst: Instance, cfg: Config): Partitioned = {
+    val part = partOf(inst, cfg)
+    val t1ByPart = inst.t1.groupBy(t => part(t.id))
+    val t2ByPart = inst.t2.groupBy(t => part(t.id))
+    val (inside, cut) = inst.matches.partition(m => part(m.left) == part(m.right))
+    val mByPart = inside.groupBy(m => part(m.left))
 
-    val t1ByPart = inst.t1.groupBy(t => partOf(t.id))
-    val t2ByPart = inst.t2.groupBy(t => partOf(t.id))
-    val (inside, cut) = inst.matches.partition(m => partOf(m.left) == partOf(m.right))
-    val mByPart = inside.groupBy(m => partOf(m.left))
-
-    val subs = (0 until nParts).iterator.map { p =>
+    val subs = (t1ByPart.keySet ++ t2ByPart.keySet).toVector.sorted.map { p =>
       Instance(
         t1ByPart.getOrElse(p, Vector.empty),
         t2ByPart.getOrElse(p, Vector.empty),
@@ -49,34 +56,13 @@ object SmartPartition {
         inst.phi,
         inst.params,
       )
-    }.filter(s => s.t1.nonEmpty || s.t2.nonEmpty).toVector
+    }
     Partitioned(subs, cut)
   }
 
-  /** Partitioned stage-2 solve: union of per-partition solutions plus the
-    * log(1−p) contribution of every cut match.
+  /** Partitioned stage-2 solve: one exact solve with every cross-part match
+    * cut.
     */
-  def solve(inst: Instance, cfg: Config, solverCfg: ExplainSolver.Config): Solution = {
-    val parts = split(inst, cfg)
-    // The time limit is a budget for the WHOLE partitioned solve: each
-    // subproblem gets the remaining wall-clock, not a fresh allowance.
-    val deadline = System.nanoTime() + solverCfg.timeLimitMs * 1000000L
-    var logProb = parts.cutMatches.iterator.map(m => math.log(1 - m.p)).sum
-    var proved = true
-    var nodes = 0L
-    var delta = Set.empty[Long]
-    var values = Map.empty[Long, ValueChange]
-    var evidence = Set.empty[(Long, Long)]
-    for (sub <- parts.subInstances) {
-      val remainingMs = math.max(1L, (deadline - System.nanoTime()) / 1000000L)
-      val s = ExplainSolver.solve(sub, solverCfg.copy(timeLimitMs = remainingMs))
-      logProb += s.logProb
-      proved &&= s.proved
-      nodes += s.nodes
-      delta ++= s.explanations.delta
-      values ++= s.explanations.values
-      evidence ++= s.explanations.evidence
-    }
-    Solution(ExplanationSet(delta, values, evidence), logProb, proved, nodes)
-  }
+  def solve(inst: Instance, cfg: Config, solverCfg: ExplainSolver.Config): Solution =
+    ExplainSolver.solve(inst, solverCfg, partOf(inst, cfg))
 }

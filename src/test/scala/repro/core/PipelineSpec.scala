@@ -39,8 +39,7 @@ class PipelineSpec extends SparkSpec {
   test("stats report every stage-1 phase and the candidate count") {
     val s = prepared.stats
     assert((s.t1, s.t2, s.nMatches) == ((prepared.inst.t1.size, prepared.inst.t2.size, prepared.inst.matches.size)))
-    assert(s.candidates >= s.nMatches)
-    assert(Seq(s.goldS, s.tuplesS, s.candidatesS, s.dedupeS).forall(_ >= 0.0))
+    assert(Seq(s.goldS, s.tuplesS, s.candidatesS, s.sortS).forall(_ >= 0.0))
     assert(s.goldS + s.tuplesS + s.candidatesS > 0.0)
   }
 
@@ -68,13 +67,21 @@ class PipelineSpec extends SparkSpec {
     assert(descs.toSet == Set("stage 1: gold", "stage 1: tuples", "stage 1: candidates"), descs.distinct)
   }
 
-  test("dedupe keeps the first max-p match of each pair, sorted by (left, right)") {
-    import Model.TupleMatch
-    val rnd = new scala.util.Random(11)
-    val ms = Array.fill(500)(TupleMatch(rnd.nextInt(20).toLong, 100L + rnd.nextInt(20), (rnd.nextInt(5) + 1) / 10.0))
-    val reference = ms.toVector.groupBy(m => (m.left, m.right)).values.map(_.maxBy(_.p)).toVector
-      .sortBy(m => (m.left, m.right))
-    assert(Pipeline.dedupe(ms) == reference)
+  test("prepared matches are strictly sorted by (left, right)") {
+    // Strictly: one match per pair, in the edge order stage 2 relies on.
+    val pairs = prepared.inst.matches.map(m => (m.left, m.right))
+    pairs.iterator.sliding(2).withPartial(false).foreach { case Seq(a, b) =>
+      assert(Ordering[(Long, Long)].lt(a, b), s"$a before $b")
+    }
+  }
+
+  test("prepare releases the relations it caches") {
+    val sc = spark.sparkContext
+    val cfg = SyntheticGen.Config(n = 40, d = 0.2, v = 30, seed = 5)
+    val before = sc.getPersistentRDDs.size
+    Pipeline.prepare(SyntheticGen.canonicalSide(spark, cfg, 1), SyntheticGen.canonicalSide(spark, cfg, 2),
+      Seq(KeyAttr("match_attr")), Phi.Equiv)
+    assert(sc.getPersistentRDDs.size == before)
   }
 
   test("prepared instance has plausible sizes") {

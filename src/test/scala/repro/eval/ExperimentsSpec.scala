@@ -32,16 +32,16 @@ class ExperimentsSpec extends AnyFunSuite {
 
   test("render marks unproved rows") {
     val run = Experiments.PairRun(
-      "pair", 123, PairStats(10, 12, 30, 31, 0.5, 0.1, 1.25, 0.01),
+      "pair", 123, PairStats(10, 12, 30, 0.5, 0.1, 1.25, 0.01),
       Seq(Harness.AlgoResult("ALGO", "pair", PRF(1, 1, 1), PRF(1, 1, 1), 7, proved = false)), Nil)
     val lines = Experiments.render(run).linesIterator.toSeq
-    assert(lines.head.contains("candidates 1.250s") && lines.head.contains("31 candidate pairs, 30 kept"), lines.head)
+    assert(lines.head.contains("candidates 1.250s") && lines.head.contains("sort 0.010s; 30 candidate matches"), lines.head)
     assert(lines(1).endsWith("UNPROVED"))
   }
 
   test("PairStats.mean averages every field") {
-    val m = PairStats.mean(Seq(PairStats(10, 20, 30, 40, 1, 2, 3, 4), PairStats(11, 21, 31, 41, 3, 4, 5, 6)))
-    assert(m == PairStats(10, 20, 30, 40, 2, 3, 4, 5))
+    val m = PairStats.mean(Seq(PairStats(10, 20, 30, 1, 2, 3, 4), PairStats(11, 21, 31, 3, 4, 5, 6)))
+    assert(m == PairStats(10, 20, 30, 2, 3, 4, 5))
   }
 
   test("renderSynthetic formats one line per point") {

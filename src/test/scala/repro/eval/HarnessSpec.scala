@@ -12,7 +12,7 @@ class HarnessSpec extends AnyFunSuite {
   // Harness.run reads only the instance, the key map and the gold standard.
   private val pair = PreparedPair(
     inst, inst.tupleById.map { case (id, t) => id -> (t.side, t.key.mkString("|")) },
-    Gold.GoldStandard(Set.empty, Set.empty), null, null, Seq("program"),
+    Gold.GoldStandard(Set.empty, Set.empty),
     PairStats(inst.t1.size, inst.t2.size, inst.matches.size))
 
   /** Keeps every tuple and selects no match: fig3's tuples all have

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.SparkContext
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.Model._
@@ -12,10 +12,11 @@ import repro.eval.Gold
   * calibrated probabilities → an in-driver [[Model.Instance]], the gold
   * standard, and the id→key translation used by metrics.
   *
-  * Spark does the heavy lifting (similarity join over provenance-scale data,
-  * calibration group-bys); only the canonical relations and candidate match
-  * list — orders of magnitude smaller than the raw datasets — are collected
-  * for the stage-2 solver, mirroring the paper's CPLEX architecture.
+  * Spark does the heavy lifting (canonicalization and the similarity join
+  * over provenance-scale data); only the canonical relations and the
+  * candidate pairs — orders of magnitude smaller than the raw datasets —
+  * are collected, mirroring the paper's CPLEX architecture. Gold derivation
+  * and calibration then run on the driver over those collected rows.
   */
 object Pipeline {
 
@@ -27,22 +28,27 @@ object Pipeline {
   )
 
   /** What stage 1 produced for one pair and where its time went: the
-    * tuple and match counts, and wall seconds of each phase of [[prepare]]
-    * (gold derivation, the tuple collect, the candidate + calibration
-    * collect, the driver-side sort).
+    * tuple and match counts, the calibration's labeled pairs and true labels
+    * among them, and wall seconds of each phase of [[prepare]] in run order
+    * (the tuple collect, gold derivation, the candidate collect, calibration,
+    * the sort).
     */
   final case class PairStats(
       t1: Int,
       t2: Int,
       nMatches: Int,
-      goldS: Double = 0.0,
+      labeled: Int = 0,
+      trueLabels: Int = 0,
       tuplesS: Double = 0.0,
+      goldS: Double = 0.0,
       candidatesS: Double = 0.0,
+      calibrateS: Double = 0.0,
       sortS: Double = 0.0,
   ) {
     def phases: String =
-      f"stage 1: gold $goldS%.3fs, tuples $tuplesS%.3fs, candidates $candidatesS%.3fs, " +
-        f"sort $sortS%.3fs; $nMatches candidate matches"
+      f"stage 1: tuples $tuplesS%.3fs, gold $goldS%.3fs, candidates $candidatesS%.3fs, " +
+        f"calibrate $calibrateS%.3fs, sort $sortS%.3fs; $nMatches candidate matches, " +
+        f"$labeled labeled ($trueLabels true)"
   }
 
   object PairStats {
@@ -50,8 +56,9 @@ object Pipeline {
     def mean(ss: Seq[PairStats]): PairStats = {
       val n = ss.size
       PairStats(ss.map(_.t1).sum / n, ss.map(_.t2).sum / n, ss.map(_.nMatches).sum / n,
-        ss.map(_.goldS).sum / n, ss.map(_.tuplesS).sum / n,
-        ss.map(_.candidatesS).sum / n, ss.map(_.sortS).sum / n)
+        ss.map(_.labeled).sum / n, ss.map(_.trueLabels).sum / n,
+        ss.map(_.tuplesS).sum / n, ss.map(_.goldS).sum / n, ss.map(_.candidatesS).sum / n,
+        ss.map(_.calibrateS).sum / n, ss.map(_.sortS).sum / n)
     }
   }
 
@@ -77,16 +84,18 @@ object Pipeline {
     if (c != 0) c else java.lang.Long.compare(a.right, b.right)
   }
 
-  /** Assigns a deterministic 0-based `cid` by sorting on the key columns. */
+  /** Assigns a deterministic 0-based `cid` by sorting on the key columns,
+    * then on every other column, so only identical rows tie.
+    */
   def withCid(canon: DataFrame, matchAttrs: Seq[String]): DataFrame = {
-    val w = Window.orderBy(matchAttrs.map(col) :+ col("I"): _*)
-    canon.withColumn("cid", row_number().over(w).cast("long") - 1)
+    val order = (matchAttrs :+ "I") ++ canon.columns.filterNot((matchAttrs :+ "I").contains)
+    canon.withColumn("cid", row_number().over(Window.orderBy(order.map(col): _*)).cast("long") - 1)
   }
 
   /** Full stage-1 preparation of one comparable query pair, under the
     * default priors and calibration. Candidates are unique per (lid, rid):
-    * the similarity join emits distinct pairs and calibration one row per
-    * pair, so the matches need only be sorted.
+    * the similarity join emits distinct pairs, so the matches need only be
+    * sorted.
     */
   def prepare(
       leftCanon: DataFrame,
@@ -98,53 +107,62 @@ object Pipeline {
     val matchAttrs = attrs.map(_.name)
     val lc = withCid(leftCanon, matchAttrs).cache()
     val rc = withCid(rightCanon, matchAttrs).cache()
+    val sc = lc.sparkSession.sparkContext
+
+    /** One side's tuples in cid order (tuple id = cid + offset) and their
+      * uids, indexed by cid.
+      */
+    def collectSide(df: DataFrame, side: Int, offset: Long): (Vector[CTuple], Array[String]) = {
+      // Any column beyond (cid, matchAttrs, I, uid) is an extra provenance
+      // attribute carried for stage-3 summarization.
+      val extras = df.columns.toSeq.diff(matchAttrs ++ Seq("cid", "I", "uid"))
+      val cols = col("cid") +:
+        (matchAttrs ++ extras).map(c => coalesce(col(c).cast("string"), lit(""))) :+
+        col("I").cast("double") :+ col("uid").cast("string")
+      val iIdx = 1 + matchAttrs.size + extras.size
+      val rows = df.select(cols: _*).collect().sortBy(_.getLong(0))
+      val tuples = rows.toVector.map { r =>
+        val key = (1 to matchAttrs.size).map(r.getString)
+        val extraVals = extras.indices.map(i => r.getString(1 + matchAttrs.size + i))
+        CTuple(r.getLong(0) + offset, side, key, r.getDouble(iIdx),
+          matchAttrs.zip(key).toMap ++ extras.zip(extraVals).toMap)
+      }
+      (tuples, rows.map(_.getString(iIdx + 1)))
+    }
+    val (((t1, lUid), (t2, rUid)), tuplesS) = phase(sc, "tuples") {
+      val l = collectSide(lc, 1, 0L)
+      (l, collectSide(rc, 2, l._1.size.toLong))
+    }
+    val offset = t1.size.toLong
+    val keyOf = (t1 ++ t2).map(t => t.id -> (t.side, t.key.mkString("|"))).toMap
+
+    def entries(ts: Vector[CTuple], uids: Array[String]) =
+      ts.zip(uids).map { case (t, u) => Gold.Entry(keyOf(t.id)._2, t.impact, u) }
+    val (gold, goldS) = phase(sc, "gold")(Gold.derive(entries(t1, lUid), entries(t2, rUid), phi))
 
     // simFloor models the blocking step of practical linkage systems: pairs
     // below the floor never become candidates (zero-overlap pairs already
     // don't). 0.0 keeps every token-sharing pair.
     val simsAll = Similarity.candidatePairs(lc, rc, attrs)
     val sims = if (simFloor > 0.0) simsAll.filter(col("sim") >= simFloor) else simsAll
-    val goldEvCid = lc.filter(col("uid").isNotNull)
-      .select(col("cid").as("lid"), col("uid").as("l_uid"))
-      .join(
-        rc.filter(col("uid").isNotNull).select(col("cid").as("rid"), col("uid").as("r_uid")),
-        col("l_uid") === col("r_uid"))
-      .select("lid", "rid")
-    val probs = Calibration.calibrate(sims, goldEvCid)
-
-    val sc = lc.sparkSession.sparkContext
-    val (gold, goldS) = phase(sc, "gold")(Gold.derive(lc, rc, matchAttrs, phi))
-
-    def collectSide(df: DataFrame, side: Int, offset: Long): Vector[CTuple] = {
-      // Any column beyond (cid, matchAttrs, I, uid) is an extra provenance
-      // attribute carried for stage-3 summarization.
-      val extras = df.columns.toSeq.diff(matchAttrs ++ Seq("cid", "I", "uid"))
-      val cols = col("cid") +:
-        (matchAttrs ++ extras).map(c => coalesce(col(c).cast("string"), lit(""))) :+
-        col("I").cast("double")
-      val iIdx = 1 + matchAttrs.size + extras.size
-      df.select(cols: _*).collect().toVector.map { r =>
-        val key = (1 to matchAttrs.size).map(r.getString)
-        val extraVals = extras.indices.map(i => r.getString(1 + matchAttrs.size + i))
-        CTuple(r.getLong(0) + offset, side, key, r.getDouble(iIdx),
-          matchAttrs.zip(key).toMap ++ extras.zip(extraVals).toMap)
-      }
-    }
-    val ((t1, t2), tuplesS) = phase(sc, "tuples") {
-      val t1 = collectSide(lc, 1, 0L)
-      (t1, collectSide(rc, 2, t1.size.toLong))
-    }
-    val offset = t1.size.toLong
-
-    val (candidates, candidatesS) = phase(sc, "candidates")(
-      probs.select("lid", "rid", "p").collect()
-        .map { case Row(l: Long, r: Long, p: Double) => TupleMatch(l, r + offset, p) })
+    val (rows, candidatesS) = phase(sc, "candidates")(sims.select("lid", "rid", "sim").collect())
     lc.unpersist()
     rc.unpersist()
-    val (matches, sortS) = phase(sc, "sort")(candidates.sorted(byPair).toVector)
+
+    val lid = rows.map(_.getLong(0))
+    val rid = rows.map(_.getLong(1))
+    // Both uids equal and non-null: the pair is a gold evidence pair.
+    def isTrue(l: Long, r: Long): Boolean = {
+      val u = lUid(l.toInt)
+      u != null && u == rUid(r.toInt)
+    }
+    val (cal, calibrateS) = phase(sc, "calibrate")(
+      Calibration.probabilities(lid, rid, rows.map(_.getDouble(2)), isTrue))
+    val (matches, sortS) = phase(sc, "sort")(
+      rows.indices.map(i => TupleMatch(lid(i), rid(i) + offset, cal.p(i))).sorted(byPair).toVector)
 
     val inst = Instance(t1, t2, matches, phi)
-    val keyOf = (t1 ++ t2).map(t => t.id -> (t.side, t.key.mkString("|"))).toMap
-    PreparedPair(inst, keyOf, gold, PairStats(t1.size, t2.size, matches.size, goldS, tuplesS, candidatesS, sortS))
+    PreparedPair(inst, keyOf, gold, PairStats(t1.size, t2.size, matches.size, cal.labeled, cal.trues,
+      tuplesS, goldS, candidatesS, calibrateS, sortS))
   }
 }

@@ -87,13 +87,6 @@ object Scoring {
     None
   }
 
-  /** Scores an explanation set, returning −∞ when incomplete. */
-  def scoreOrNegInf(inst: Instance, e: ExplanationSet): Double =
-    completenessViolation(inst, e) match {
-      case None    => logProb(inst, e)
-      case Some(_) => Double.NegativeInfinity
-    }
-
   /** Union-find over tuple ids, used for component extraction and
     * pre-partitioning. `union(a, b)` links a's root under b's, so roots
     * (which order `PrePartition`'s coarse nodes) depend on that rule.

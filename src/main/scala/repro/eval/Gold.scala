@@ -15,7 +15,8 @@ import repro.core.Model.{Params, Phi}
   *  - uid present on one side only (or null): each such tuple is a gold
   *    provenance-based explanation on its side;
   *  - uid present on both sides with unequal summed impacts: a gold
-  *    value-based explanation on the hub side (the side not capped by φ);
+  *    value-based explanation on the hub side (the side not capped by φ),
+  *    naming the hub side's first key in the given order;
   *  - all cross pairs within a both-sides uid group are gold evidence.
   */
 object Gold {
@@ -28,48 +29,45 @@ object Gold {
       evidence: Set[(String, String)],
   )
 
-  /** Key expression: matching attribute values joined with '|'. */
-  def keyExpr(matchAttrs: Seq[String]) =
-    concat_ws("|", matchAttrs.map(a => coalesce(col(a).cast("string"), lit(""))): _*)
+  /** One canonical tuple as gold derivation sees it: its key (matching
+    * attribute values joined with '|'), its impact and its uid, or null.
+    */
+  final case class Entry(key: String, impact: Double, uid: String)
 
+  /** Derives the gold standard from each side's tuples, in the given order. */
+  def derive(left: Seq[Entry], right: Seq[Entry], phi: Phi): GoldStandard = {
+    // A null uid never corresponds: such tuples stay out of the groups and
+    // become provenance-based items.
+    def groups(es: Seq[Entry]) = es.filter(_.uid != null).groupBy(_.uid)
+    val l = groups(left)
+    val r = groups(right)
+    val expl = Set.newBuilder[Item]
+    val ev = Set.newBuilder[(String, String)]
+    left.foreach(e => if (e.uid == null || !r.contains(e.uid)) expl += (("prov", 1, e.key)))
+    right.foreach(e => if (e.uid == null || !l.contains(e.uid)) expl += (("prov", 2, e.key)))
+    for ((uid, ls) <- l; rs <- r.get(uid)) {
+      for (a <- ls; b <- rs) ev += ((a.key, b.key))
+      if (Params.unbalanced(ls.map(_.impact).sum, rs.map(_.impact).sum)) {
+        val hub = if (phi.hubSide == 1) ls else rs
+        expl += (("value", phi.hubSide, hub.head.key))
+      }
+    }
+    GoldStandard(expl.result(), ev.result())
+  }
+
+  /** [[derive]] over two canonical relations with `I` and `uid` columns,
+    * each collected in its row order.
+    */
   def derive(
       leftCanon: DataFrame,
       rightCanon: DataFrame,
       matchAttrs: Seq[String],
       phi: Phi,
   ): GoldStandard = {
-    val l = leftCanon.select(keyExpr(matchAttrs).as("key"), col("I").cast("double").as("I"), col("uid"))
-    val r = rightCanon.select(keyExpr(matchAttrs).as("key"), col("I").cast("double").as("I"), col("uid"))
-
-    // The null uid is a group of its own on each side. The equi-join never
-    // matches null, so both null groups come back one-sided: tuples with no
-    // uid at all can never correspond and become provenance-based items.
-    val lGrouped = l.groupBy("uid").agg(collect_list("key").as("lKeys"), sum("I").as("lSum"))
-    val rGrouped = r.groupBy("uid").agg(collect_list("key").as("rKeys"), sum("I").as("rSum"))
-    val joined = lGrouped.join(rGrouped, Seq("uid"), "full_outer")
-      .select("uid", "lKeys", "rKeys", "lSum", "rSum")
-      .collect()
-
-    val expl = Set.newBuilder[Item]
-    val ev = Set.newBuilder[(String, String)]
-
-    joined.foreach { row =>
-      val lKeys = Option(row.getAs[scala.collection.Seq[String]]("lKeys")).map(_.toSeq).getOrElse(Seq.empty)
-      val rKeys = Option(row.getAs[scala.collection.Seq[String]]("rKeys")).map(_.toSeq).getOrElse(Seq.empty)
-      (lKeys.nonEmpty, rKeys.nonEmpty) match {
-        case (true, false) => lKeys.foreach(k => expl += (("prov", 1, k)))
-        case (false, true) => rKeys.foreach(k => expl += (("prov", 2, k)))
-        case (true, true)  =>
-          for (lk <- lKeys; rk <- rKeys) ev += ((lk, rk))
-          val lSum = row.getAs[Double]("lSum")
-          val rSum = row.getAs[Double]("rSum")
-          if (Params.unbalanced(lSum, rSum)) {
-            val key = if (phi.hubSide == 1) lKeys.head else rKeys.head
-            expl += (("value", phi.hubSide, key))
-          }
-        case _ => ()
-      }
-    }
-    GoldStandard(expl.result(), ev.result())
+    val key = concat_ws("|", matchAttrs.map(a => coalesce(col(a).cast("string"), lit(""))): _*)
+    def entries(df: DataFrame) =
+      df.select(key, col("I").cast("double"), col("uid").cast("string")).collect().toSeq
+        .map(r => Entry(r.getString(0), r.getDouble(1), r.getString(2)))
+    derive(entries(leftCanon), entries(rightCanon), phi)
   }
 }

@@ -6,6 +6,7 @@ import repro.core.Model.Phi
 import repro.core.Similarity.KeyAttr
 import repro.data.SyntheticGen
 import repro.eval.{Harness, Metrics}
+import org.apache.spark.sql.DataFrame
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
@@ -14,33 +15,62 @@ import org.scalatest.time.{Seconds, Span}
   */
 class PipelineSpec extends SparkSpec {
 
-  private lazy val prepared = {
-    val cfg = SyntheticGen.Config(n = 150, d = 0.2, v = 60, seed = 7)
+  private val cfg150 = SyntheticGen.Config(n = 150, d = 0.2, v = 60, seed = 7)
+
+  /** Prepares the n=150 pair with `physical` applied to both canonical inputs. */
+  private def prepare150(physical: DataFrame => DataFrame = identity): Pipeline.PreparedPair =
     Pipeline.prepare(
-      SyntheticGen.canonicalSide(spark, cfg, 1),
-      SyntheticGen.canonicalSide(spark, cfg, 2),
+      physical(SyntheticGen.canonicalSide(spark, cfg150, 1)),
+      physical(SyntheticGen.canonicalSide(spark, cfg150, 2)),
       Seq(KeyAttr("match_attr")),
       Phi.Equiv)
-  }
+
+  private lazy val prepared = prepare150()
 
   test("stage-1 output is bit-identical to the recorded reference") {
-    // Recorded from the stage 1 that tokenized both strings of every
-    // candidate pair. Any change in which rows the calibration sample sees
-    // changes a bucket probability and so the match digest.
+    // Tuples and gold recorded from the stage 1 that tokenized both strings
+    // of every candidate pair; the match digest from the one whose
+    // calibration labels are keyed by a hash of the pair. Any change in
+    // which pairs the label sample holds changes a bucket probability and
+    // so the match digest.
     val inst = prepared.inst
     assert((inst.t1.size, inst.t2.size, inst.matches.size) == ((135, 137, 6400)))
-    assert(Stage1Digest.matches(inst.matches) == "6fa7028cfafa4381")
+    assert(Stage1Digest.matches(inst.matches) == "e29671b35bfbe756")
     assert(Stage1Digest.tuples(inst.t1) == "9e1bafc6bc23d64c")
     assert(Stage1Digest.tuples(inst.t2) == "410b801089d40c05")
     assert((prepared.gold.explanations.size, prepared.gold.evidence.size) == ((54, 124)))
     assert(Stage1Digest.gold(prepared.gold) == "e72dc00448cae9db")
   }
 
+  test("stage 1 is a pure function of its logical input") {
+    def digest(p: Pipeline.PreparedPair) = Seq(Stage1Digest.matches(p.inst.matches),
+      Stage1Digest.tuples(p.inst.t1), Stage1Digest.tuples(p.inst.t2), Stage1Digest.gold(p.gold))
+    val expected = digest(prepared)
+    // Without adaptive execution every shuffle keeps 7 partitions; with it,
+    // n=150 coalesces each to one, which hides partitioning dependence.
+    val conf = Seq("spark.sql.adaptive.enabled" -> "false", "spark.sql.shuffle.partitions" -> "7")
+    val saved = conf.map { case (k, _) => k -> spark.conf.get(k) }
+    val cached = scala.collection.mutable.Buffer.empty[DataFrame]
+    conf.foreach { case (k, v) => spark.conf.set(k, v) }
+    try {
+      val differing = Seq[(String, DataFrame => DataFrame)](
+          "as given" -> identity, "repartition(1)" -> (_.repartition(1)),
+          "repartition(7)" -> (_.repartition(7)), "cache" -> { df => cached += df.cache(); df })
+        .collect { case (name, physical) if digest(prepare150(physical)) != expected => name }
+      assert(differing.isEmpty, differing)
+    } finally {
+      cached.foreach(_.unpersist())
+      saved.foreach { case (k, v) => spark.conf.set(k, v) }
+    }
+  }
+
   test("stats report every stage-1 phase and the candidate count") {
     val s = prepared.stats
     assert((s.t1, s.t2, s.nMatches) == ((prepared.inst.t1.size, prepared.inst.t2.size, prepared.inst.matches.size)))
-    assert(Seq(s.goldS, s.tuplesS, s.candidatesS, s.sortS).forall(_ >= 0.0))
-    assert(s.goldS + s.tuplesS + s.candidatesS > 0.0)
+    assert(Seq(s.tuplesS, s.goldS, s.candidatesS, s.calibrateS, s.sortS).forall(_ >= 0.0))
+    assert(s.tuplesS + s.candidatesS > 0.0)
+    assert(s.labeled > 0 && s.labeled < s.nMatches, s.labeled)
+    assert(s.trueLabels > 0 && s.trueLabels <= s.labeled, s.trueLabels)
   }
 
   test("stage-1 jobs carry a phase description and the caller's description is restored") {
@@ -64,7 +94,7 @@ class PipelineSpec extends SparkSpec {
       sc.removeSparkListener(listener)
     }
     val descs = seen.toArray(Array.empty[String]).toSeq.takeWhile(_ != "caller")
-    assert(descs.toSet == Set("stage 1: gold", "stage 1: tuples", "stage 1: candidates"), descs.distinct)
+    assert(descs.toSet == Set("stage 1: tuples", "stage 1: candidates"), descs.distinct)
   }
 
   test("prepared matches are strictly sorted by (left, right)") {

@@ -107,6 +107,6 @@ class ScoringSpec extends AnyFunSuite {
   test("scoreOrNegInf returns -inf for incomplete sets") {
     val inst = fig3
     val e = ExplanationSet(Set.empty, Map.empty, Set.empty)
-    assert(Scoring.scoreOrNegInf(inst, e).isNegInfinity)
+    assert(SemanticBruteForce.scoreOrNegInf(inst, e).isNegInfinity)
   }
 }

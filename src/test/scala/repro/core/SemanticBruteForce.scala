@@ -9,6 +9,13 @@ import repro.core.Model._
   */
 object SemanticBruteForce {
 
+  /** Scores an explanation set, returning −∞ when incomplete. */
+  def scoreOrNegInf(inst: Instance, e: ExplanationSet): Double =
+    Scoring.completenessViolation(inst, e) match {
+      case None    => Scoring.logProb(inst, e)
+      case Some(_) => Double.NegativeInfinity
+    }
+
   def solve(inst: Instance): (ExplanationSet, Double) = {
     val n = inst.matches.size
     require(n <= 20, s"too many matches for brute force: $n")
@@ -44,7 +51,7 @@ object SemanticBruteForce {
             values += hub -> ValueChange(hub, hi, leafSum)
         }
         val e = ExplanationSet(delta.result(), values.result(), evidence)
-        val s = Scoring.scoreOrNegInf(inst, e)
+        val s = scoreOrNegInf(inst, e)
         if (s > best._2) best = (e, s)
       }
     }

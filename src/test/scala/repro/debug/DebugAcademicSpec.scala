@@ -2,7 +2,7 @@ package repro.debug
 
 import repro.SparkSpec
 import repro.baselines._
-import repro.core.{ExplainSolver, Pipeline, Scoring}
+import repro.core.{ExplainSolver, Pipeline, SemanticBruteForce}
 import repro.core.Model.Phi
 import repro.core.Similarity.KeyAttr
 import repro.data.AcademicData
@@ -21,7 +21,7 @@ class DebugAcademicSpec extends SparkSpec {
         simFloor = Experiments.AcademicSimFloor)
       val sol = ExplainSolver.solve(pair.inst)
       val greedyE = Greedy.derive(pair.inst)
-      val greedyScore = Scoring.scoreOrNegInf(pair.inst, greedyE)
+      val greedyScore = SemanticBruteForce.scoreOrNegInf(pair.inst, greedyE)
       info(s"${cfg.univName}: solver=${sol.logProb} proved=${sol.proved} greedy=$greedyScore")
       val probs = pair.inst.matches.map(_.p).groupBy(p => (p * 20).toInt / 20.0)
         .view.mapValues(_.size).toMap.toSeq.sortBy(_._1)

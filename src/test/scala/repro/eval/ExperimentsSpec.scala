@@ -27,21 +27,23 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(s.contains("|M_tuple|=30"))
     assert(s.contains("ALGO"))
     assert(s.contains("DNF"))
-    assert(s.contains("stage 1: gold"))
+    assert(s.contains("stage 1: tuples"))
   }
 
   test("render marks unproved rows") {
     val run = Experiments.PairRun(
-      "pair", 123, PairStats(10, 12, 30, 0.5, 0.1, 1.25, 0.01),
+      "pair", 123, PairStats(10, 12, 30, labeled = 14, trueLabels = 5,
+        tuplesS = 0.1, goldS = 0.5, candidatesS = 1.25, calibrateS = 0.02, sortS = 0.01),
       Seq(Harness.AlgoResult("ALGO", "pair", PRF(1, 1, 1), PRF(1, 1, 1), 7, proved = false)), Nil)
     val lines = Experiments.render(run).linesIterator.toSeq
-    assert(lines.head.contains("candidates 1.250s") && lines.head.contains("sort 0.010s; 30 candidate matches"), lines.head)
+    assert(lines.head.contains("candidates 1.250s, calibrate 0.020s") &&
+      lines.head.contains("sort 0.010s; 30 candidate matches, 14 labeled (5 true)"), lines.head)
     assert(lines(1).endsWith("UNPROVED"))
   }
 
   test("PairStats.mean averages every field") {
-    val m = PairStats.mean(Seq(PairStats(10, 20, 30, 1, 2, 3, 4), PairStats(11, 21, 31, 3, 4, 5, 6)))
-    assert(m == PairStats(10, 20, 30, 2, 3, 4, 5))
+    val m = PairStats.mean(Seq(PairStats(10, 20, 30, 8, 2, 1, 2, 3, 4, 5), PairStats(11, 21, 31, 11, 5, 3, 4, 5, 6, 7)))
+    assert(m == PairStats(10, 20, 30, 9, 3, 2, 3, 4, 5, 6))
   }
 
   test("renderSynthetic formats one line per point") {

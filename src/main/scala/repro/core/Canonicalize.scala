@@ -15,6 +15,10 @@ import org.apache.spark.sql.functions._
   * generators so gold standards can be derived (see `repro.eval.Gold`).
   * Real-world deployments would not have `uid`; nothing in the pipeline
   * reads it except gold derivation.
+  *
+  * Consolidation keeps the least non-null `uid` and extra attribute of each
+  * key, so the output depends only on the provenance rows, not on their
+  * order or partitioning.
   */
 object Canonicalize {
 
@@ -22,7 +26,7 @@ object Canonicalize {
     * @param matchAttrs the matching attribute columns (Def. 2.1)
     * @param strict     true for AVG/MAX/MIN queries (no consolidation)
     * @param extraAttrs non-matching provenance attributes carried along
-    *                   (via `first()` under consolidation) for stage-3
+    *                   (via `min()` under consolidation) for stage-3
     *                   summarization — e.g. the Degree attribute behind the
     *                   paper's `Degree='Associate'` pattern
     */
@@ -41,8 +45,8 @@ object Canonicalize {
           (if (hasUid) Seq(col("uid").cast("string")) else Nil): _*)
       } else {
         val aggs = (sum(col("I")).cast("double").as("I") +:
-          extraAttrs.map(a => first(col(a)).cast("string").as(a))) ++
-          (if (hasUid) Seq(first(col("uid")).cast("string").as("uid")) else Nil)
+          extraAttrs.map(a => min(col(a)).cast("string").as(a))) ++
+          (if (hasUid) Seq(min(col("uid")).cast("string").as("uid")) else Nil)
         keyed.groupBy(matchAttrs.map(col): _*).agg(aggs.head, aggs.tail: _*)
       }
     if (hasUid) base else base.withColumn("uid", lit(null).cast("string"))

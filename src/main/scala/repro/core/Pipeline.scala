@@ -1,22 +1,27 @@
 package repro.core
 
 import org.apache.spark.SparkContext
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
+import org.apache.spark.unsafe.types.UTF8String
 import repro.core.Model._
 import repro.core.Similarity.KeyAttr
 import repro.eval.Gold
+import scala.jdk.CollectionConverters._
 
 /** Stage-1 orchestration: canonical relations → candidate matches →
   * calibrated probabilities → an in-driver [[Model.Instance]], the gold
   * standard, and the id→key translation used by metrics.
   *
-  * Spark does the heavy lifting (canonicalization and the similarity join
-  * over provenance-scale data); only the canonical relations and the
-  * candidate pairs — orders of magnitude smaller than the raw datasets —
-  * are collected, mirroring the paper's CPLEX architecture. Gold derivation
-  * and calibration then run on the driver over those collected rows.
+  * Spark does the heavy lifting over provenance-scale data (provenance and
+  * canonicalization) and tokenizes; [[prepare]] then runs one Spark job per
+  * side, which collects the canonical relation — orders of magnitude
+  * smaller than the raw datasets — mirroring the paper's CPLEX
+  * architecture. Cid assignment, the similarity join, gold derivation and
+  * calibration are driver passes over those rows, so the output depends
+  * only on the canonical relations, not on their partitioning or caching.
   */
 object Pipeline {
 
@@ -28,26 +33,27 @@ object Pipeline {
   )
 
   /** What stage 1 produced for one pair and where its time went: the
-    * tuple and match counts, the calibration's labeled pairs and true labels
-    * among them, and wall seconds of each phase of [[prepare]] in run order
-    * (the tuple collect, gold derivation, the candidate collect, calibration,
-    * the sort).
+    * tuple counts, the candidate pairs the similarity join generated and
+    * the matches kept at the floor, the calibration's labeled pairs and true
+    * labels among them, and wall seconds of each phase of [[prepare]] in run
+    * order (the tuple collect and cid order, gold derivation, the
+    * similarity join, calibration).
     */
   final case class PairStats(
       t1: Int,
       t2: Int,
       nMatches: Int,
+      generated: Int = 0,
       labeled: Int = 0,
       trueLabels: Int = 0,
       tuplesS: Double = 0.0,
       goldS: Double = 0.0,
       candidatesS: Double = 0.0,
       calibrateS: Double = 0.0,
-      sortS: Double = 0.0,
   ) {
     def phases: String =
       f"stage 1: tuples $tuplesS%.3fs, gold $goldS%.3fs, candidates $candidatesS%.3fs, " +
-        f"calibrate $calibrateS%.3fs, sort $sortS%.3fs; $nMatches candidate matches, " +
+        f"calibrate $calibrateS%.3fs; $generated pairs generated, $nMatches candidate matches kept, " +
         f"$labeled labeled ($trueLabels true)"
   }
 
@@ -56,9 +62,9 @@ object Pipeline {
     def mean(ss: Seq[PairStats]): PairStats = {
       val n = ss.size
       PairStats(ss.map(_.t1).sum / n, ss.map(_.t2).sum / n, ss.map(_.nMatches).sum / n,
-        ss.map(_.labeled).sum / n, ss.map(_.trueLabels).sum / n,
+        ss.map(_.generated).sum / n, ss.map(_.labeled).sum / n, ss.map(_.trueLabels).sum / n,
         ss.map(_.tuplesS).sum / n, ss.map(_.goldS).sum / n, ss.map(_.candidatesS).sum / n,
-        ss.map(_.calibrateS).sum / n, ss.map(_.sortS).sum / n)
+        ss.map(_.calibrateS).sum / n)
     }
   }
 
@@ -78,24 +84,56 @@ object Pipeline {
     } finally sc.setLocalProperty(JobDescription, caller)
   }
 
-  /** Orders matches by (left, right): the edge order stage 2 sees. */
-  private val byPair: Ordering[TupleMatch] = (a, b) => {
-    val c = java.lang.Long.compare(a.left, b.left)
-    if (c != 0) c else java.lang.Long.compare(a.right, b.right)
+  /** The columns that order cids: the matching attributes, `I`, then every
+    * other column in schema order, so only identical rows tie.
+    */
+  private def cidColumns(columns: Seq[String], matchAttrs: Seq[String]): Seq[String] = {
+    val head = matchAttrs :+ "I"
+    head ++ columns.filterNot(head.contains)
   }
 
-  /** Assigns a deterministic 0-based `cid` by sorting on the key columns,
-    * then on every other column, so only identical rows tie.
+  /** Spark's ascending order on two values of one column: nulls first,
+    * strings (as [[UTF8String]]) by their UTF-8 bytes, floating point with
+    * −0.0 = 0.0 and NaN last, other types by their natural order.
+    */
+  private def compareValues(a: Any, b: Any): Int = (a, b) match {
+    case (null, null)                       => 0
+    case (null, _)                          => -1
+    case (_, null)                          => 1
+    case (x: Double, y: Double)             => SQLOrderingUtil.compareDoubles(x, y)
+    case (x: Float, y: Float)               => SQLOrderingUtil.compareFloats(x, y)
+    case (x: Comparable[Any] @unchecked, y) => x.compareTo(y)
+  }
+
+  /** Collected rows in cid order: ascending on the columns at `keys` as
+    * Spark's sort compares them. The sort is stable, so rows that tie on
+    * every key keep their given order.
+    */
+  private def cidOrder(rows: Array[Row], keys: Seq[Int]): Array[Row] = {
+    val byKeys: Ordering[Array[Any]] = (a, b) => {
+      var (i, c) = (0, 0)
+      while (c == 0 && i < a.length) { c = compareValues(a(i), b(i)); i += 1 }
+      c
+    }
+    def sortKey(r: Row): Array[Any] =
+      keys.iterator.map(i => r.get(i) match { case s: String => UTF8String.fromString(s); case v => v }).toArray
+    rows.map(r => (sortKey(r), r)).sortBy(_._1)(byKeys).map(_._2)
+  }
+
+  /** `canon` with a deterministic 0-based `cid` column, as a local
+    * relation: the rows are collected and numbered in the order `prepare`
+    * gives its tuples.
     */
   def withCid(canon: DataFrame, matchAttrs: Seq[String]): DataFrame = {
-    val order = (matchAttrs :+ "I") ++ canon.columns.filterNot((matchAttrs :+ "I").contains)
-    canon.withColumn("cid", row_number().over(Window.orderBy(order.map(col): _*)).cast("long") - 1)
+    val cols = canon.columns.toSeq
+    val rows = cidOrder(canon.collect(), cidColumns(cols, matchAttrs).map(cols.indexOf))
+    val numbered = rows.iterator.zipWithIndex.map { case (r, cid) => Row.fromSeq(r.toSeq :+ cid.toLong) }
+    canon.sparkSession.createDataFrame(numbered.toSeq.asJava, canon.schema.add("cid", LongType, nullable = false))
   }
 
   /** Full stage-1 preparation of one comparable query pair, under the
-    * default priors and calibration. Candidates are unique per (lid, rid):
-    * the similarity join emits distinct pairs, so the matches need only be
-    * sorted.
+    * default priors and calibration. The similarity join emits each
+    * (lid, rid) once and in order, so the matches come out sorted.
     */
   def prepare(
       leftCanon: DataFrame,
@@ -105,64 +143,63 @@ object Pipeline {
       simFloor: Double = 0.0,
   ): PreparedPair = {
     val matchAttrs = attrs.map(_.name)
-    val lc = withCid(leftCanon, matchAttrs).cache()
-    val rc = withCid(rightCanon, matchAttrs).cache()
-    val sc = lc.sparkSession.sparkContext
+    val sc = leftCanon.sparkSession.sparkContext
 
-    /** One side's tuples in cid order (tuple id = cid + offset) and their
-      * uids, indexed by cid.
+    /** One side's rows in cid order. From column 0 a row holds the
+      * similarity features, the cid columns as given, the matching
+      * attributes and extras as strings, `I` as a double and `uid` as a
+      * string.
       */
-    def collectSide(df: DataFrame, side: Int, offset: Long): (Vector[CTuple], Array[String]) = {
-      // Any column beyond (cid, matchAttrs, I, uid) is an extra provenance
+    final class Side(df: DataFrame, side: Int, offset: Long) {
+      private val order = cidColumns(df.columns.toSeq, matchAttrs)
+      // Any column beyond (matchAttrs, I, uid) is an extra provenance
       // attribute carried for stage-3 summarization.
-      val extras = df.columns.toSeq.diff(matchAttrs ++ Seq("cid", "I", "uid"))
-      val cols = col("cid") +:
-        (matchAttrs ++ extras).map(c => coalesce(col(c).cast("string"), lit(""))) :+
-        col("I").cast("double") :+ col("uid").cast("string")
-      val iIdx = 1 + matchAttrs.size + extras.size
-      val rows = df.select(cols: _*).collect().sortBy(_.getLong(0))
-      val tuples = rows.toVector.map { r =>
-        val key = (1 to matchAttrs.size).map(r.getString)
-        val extraVals = extras.indices.map(i => r.getString(1 + matchAttrs.size + i))
-        CTuple(r.getLong(0) + offset, side, key, r.getDouble(iIdx),
-          matchAttrs.zip(key).toMap ++ extras.zip(extraVals).toMap)
+      private val extras = df.columns.toSeq.diff(matchAttrs ++ Seq("I", "uid"))
+      private val strAt = attrs.size + order.size
+      private val iIdx = strAt + matchAttrs.size + extras.size
+      val rows: IndexedSeq[Row] = {
+        val cols = Similarity.features(attrs) ++ order.map(col) ++
+          (matchAttrs ++ extras).map(c => coalesce(col(c).cast("string"), lit(""))) ++
+          Seq(col("I").cast("double"), col("uid").cast("string"))
+        cidOrder(df.select(cols: _*).collect(), attrs.size until strAt).toIndexedSeq
       }
-      (tuples, rows.map(_.getString(iIdx + 1)))
+      // Tuple id = cid + offset.
+      val tuples: Vector[CTuple] = rows.iterator.zipWithIndex.map { case (r, cid) =>
+        val key = matchAttrs.indices.map(i => r.getString(strAt + i))
+        val extraVals = extras.indices.map(i => r.getString(strAt + matchAttrs.size + i))
+        CTuple(cid + offset, side, key, r.getDouble(iIdx),
+          matchAttrs.zip(key).toMap ++ extras.zip(extraVals).toMap)
+      }.toVector
+      val uids: IndexedSeq[String] = rows.map(_.getString(iIdx + 1))
     }
-    val (((t1, lUid), (t2, rUid)), tuplesS) = phase(sc, "tuples") {
-      val l = collectSide(lc, 1, 0L)
-      (l, collectSide(rc, 2, l._1.size.toLong))
+    val ((l, r), tuplesS) = phase(sc, "tuples") {
+      val l = new Side(leftCanon, 1, 0L)
+      (l, new Side(rightCanon, 2, l.rows.size.toLong))
     }
+    val (t1, t2) = (l.tuples, r.tuples)
     val offset = t1.size.toLong
     val keyOf = (t1 ++ t2).map(t => t.id -> (t.side, t.key.mkString("|"))).toMap
 
-    def entries(ts: Vector[CTuple], uids: Array[String]) =
-      ts.zip(uids).map { case (t, u) => Gold.Entry(keyOf(t.id)._2, t.impact, u) }
-    val (gold, goldS) = phase(sc, "gold")(Gold.derive(entries(t1, lUid), entries(t2, rUid), phi))
+    def entries(s: Side) = s.tuples.zip(s.uids).map { case (t, u) => Gold.Entry(keyOf(t.id)._2, t.impact, u) }
+    val (gold, goldS) = phase(sc, "gold")(Gold.derive(entries(l), entries(r), phi))
 
     // simFloor models the blocking step of practical linkage systems: pairs
     // below the floor never become candidates (zero-overlap pairs already
     // don't). 0.0 keeps every token-sharing pair.
-    val simsAll = Similarity.candidatePairs(lc, rc, attrs)
-    val sims = if (simFloor > 0.0) simsAll.filter(col("sim") >= simFloor) else simsAll
-    val (rows, candidatesS) = phase(sc, "candidates")(sims.select("lid", "rid", "sim").collect())
-    lc.unpersist()
-    rc.unpersist()
-
-    val lid = rows.map(_.getLong(0))
-    val rid = rows.map(_.getLong(1))
+    val (cands, candidatesS) = phase(sc, "candidates")(
+      Similarity.join(l.rows, r.rows, attrs, simFloor))
+    val lid = cands.lid.map(_.toLong)
+    val rid = cands.rid.map(_.toLong)
     // Both uids equal and non-null: the pair is a gold evidence pair.
-    def isTrue(l: Long, r: Long): Boolean = {
-      val u = lUid(l.toInt)
-      u != null && u == rUid(r.toInt)
+    def isTrue(i: Long, j: Long): Boolean = {
+      val u = l.uids(i.toInt)
+      u != null && u == r.uids(j.toInt)
     }
-    val (cal, calibrateS) = phase(sc, "calibrate")(
-      Calibration.probabilities(lid, rid, rows.map(_.getDouble(2)), isTrue))
-    val (matches, sortS) = phase(sc, "sort")(
-      rows.indices.map(i => TupleMatch(lid(i), rid(i) + offset, cal.p(i))).sorted(byPair).toVector)
+    val (cal, calibrateS) = phase(sc, "calibrate")(Calibration.probabilities(lid, rid, cands.sim, isTrue))
+    val matches = Vector.tabulate(lid.length)(i => TupleMatch(lid(i), rid(i) + offset, cal.p(i)))
 
     val inst = Instance(t1, t2, matches, phi)
-    PreparedPair(inst, keyOf, gold, PairStats(t1.size, t2.size, matches.size, cal.labeled, cal.trues,
-      tuplesS, goldS, candidatesS, calibrateS, sortS))
+    PreparedPair(inst, keyOf, gold, PairStats(t1.size, t2.size, matches.size, cands.generated,
+      cal.labeled, cal.trues, tuplesS, goldS, candidatesS, calibrateS))
   }
 }

@@ -15,6 +15,20 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** Runs `body` with the given SQL settings, then restores the old ones. */
+  def withSqlConf[A](conf: (String, String)*)(body: => A): A = {
+    val saved = conf.map { case (k, _) => k -> spark.conf.get(k) }
+    conf.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally saved.foreach { case (k, v) => spark.conf.set(k, v) }
+  }
+
+  /** Without adaptive execution every shuffle keeps 7 partitions; with it,
+    * small inputs coalesce each to one, which hides partitioning dependence.
+    */
+  def withSevenPartitions[A](body: => A): A =
+    withSqlConf("spark.sql.adaptive.enabled" -> "false", "spark.sql.shuffle.partitions" -> "7")(body)
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

@@ -65,6 +65,25 @@ class CanonicalizeSpec extends SparkSpec {
     assert(t2.filter(col("uid").isNotNull).count() == 0)
   }
 
+  test("consolidation keeps each key's least uid and extra, whatever the row order") {
+    import spark.implicits._
+    // 12 rows per key, with several uids and degrees each, some null.
+    val rows = (0 until 60).map(i =>
+      (s"k${i % 5}", if (i % 7 == 3) null else s"u${i * 7 % 13}", if (i % 4 == 0) null else s"d${i * 5 % 9}"))
+    val prov = Provenance.relation(rows.toDF("program", "uid", "degree"), Output.Count)
+    def canon(p: org.apache.spark.sql.DataFrame) =
+      Canonicalize.canonical(p, Seq("program"), extraAttrs = Seq("degree"))
+        .select("program", "I", "degree", "uid").orderBy("program").collect().map(_.toString).toSeq
+    val expected = rows.groupBy(_._1).toSeq.sortBy(_._1).map { case (k, rs) =>
+      s"[$k,${rs.size.toDouble},${rs.flatMap(r => Option(r._3)).min},${rs.flatMap(r => Option(r._2)).min}]"
+    }
+    val cached = prov.cache()
+    try withSevenPartitions {
+      for (p <- Seq(prov, prov.repartition(1), prov.repartition(7), prov.orderBy(col("uid").desc), cached))
+        assert(canon(p) == expected)
+    } finally cached.unpersist()
+  }
+
   test("canonical SUM query equals DuckDB on synthetic lineitem slice") {
     // A 2000-row lineitem slice: quantity 1..50, prices with cents, three
     // return flags.

@@ -4,9 +4,14 @@ import repro.SparkSpec
 import repro.baselines._
 import repro.core.Model.Phi
 import repro.core.Similarity.KeyAttr
-import repro.data.SyntheticGen
+import repro.data.{ImdbQueries, SyntheticGen}
 import repro.eval.{Harness, Metrics}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
+import org.apache.logging.log4j.{Level, LogManager}
+import org.apache.logging.log4j.core.config.Configurator
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
@@ -17,13 +22,18 @@ class PipelineSpec extends SparkSpec {
 
   private val cfg150 = SyntheticGen.Config(n = 150, d = 0.2, v = 60, seed = 7)
 
-  /** Prepares the n=150 pair with `physical` applied to both canonical inputs. */
-  private def prepare150(physical: DataFrame => DataFrame = identity): Pipeline.PreparedPair =
-    Pipeline.prepare(
-      physical(SyntheticGen.canonicalSide(spark, cfg150, 1)),
-      physical(SyntheticGen.canonicalSide(spark, cfg150, 2)),
-      Seq(KeyAttr("match_attr")),
-      Phi.Equiv)
+  /** Prepares the n=150 pair with `provenance` applied to both provenance
+    * relations and `canonical` to both canonical ones.
+    */
+  private def prepare150(
+      canonical: DataFrame => DataFrame = identity,
+      provenance: DataFrame => DataFrame = identity,
+  ): Pipeline.PreparedPair = {
+    def side(s: Int) = canonical(Canonicalize.canonical(
+      provenance(Provenance.relation(SyntheticGen.side(spark, cfg150, s), Provenance.Output.Sum("val"))),
+      Seq("match_attr")))
+    Pipeline.prepare(side(1), side(2), Seq(KeyAttr("match_attr")), Phi.Equiv)
+  }
 
   private lazy val prepared = prepare150()
 
@@ -46,28 +56,74 @@ class PipelineSpec extends SparkSpec {
     def digest(p: Pipeline.PreparedPair) = Seq(Stage1Digest.matches(p.inst.matches),
       Stage1Digest.tuples(p.inst.t1), Stage1Digest.tuples(p.inst.t2), Stage1Digest.gold(p.gold))
     val expected = digest(prepared)
-    // Without adaptive execution every shuffle keeps 7 partitions; with it,
-    // n=150 coalesces each to one, which hides partitioning dependence.
-    val conf = Seq("spark.sql.adaptive.enabled" -> "false", "spark.sql.shuffle.partitions" -> "7")
-    val saved = conf.map { case (k, _) => k -> spark.conf.get(k) }
     val cached = scala.collection.mutable.Buffer.empty[DataFrame]
-    conf.foreach { case (k, v) => spark.conf.set(k, v) }
+    val physical = Seq[(String, DataFrame => DataFrame)](
+      "as given" -> identity, "repartition(1)" -> (_.repartition(1)),
+      "repartition(7)" -> (_.repartition(7)), "cache" -> { df => cached += df.cache(); df })
     try {
-      val differing = Seq[(String, DataFrame => DataFrame)](
-          "as given" -> identity, "repartition(1)" -> (_.repartition(1)),
-          "repartition(7)" -> (_.repartition(7)), "cache" -> { df => cached += df.cache(); df })
-        .collect { case (name, physical) if digest(prepare150(physical)) != expected => name }
+      val differing = withSevenPartitions {
+        physical.flatMap { case (name, f) =>
+          Seq(s"canonical $name" -> prepare150(canonical = f), s"provenance $name" -> prepare150(provenance = f))
+        }.collect { case (name, p) if digest(p) != expected => name }
+      }
       assert(differing.isEmpty, differing)
-    } finally {
-      cached.foreach(_.unpersist())
-      saved.foreach { case (k, v) => spark.conf.set(k, v) }
-    }
+    } finally cached.foreach(_.unpersist())
+  }
+
+  /** The reference cid numbering, collected in cid order: Spark's
+    * `row_number` over an unpartitioned window in `withCid`'s order. The
+    * window moves every row to one task by design, so Spark's warning that
+    * it does so is silenced while it runs.
+    */
+  private def windowCidRows(canon: DataFrame, matchAttrs: Seq[String]): Array[Row] = {
+    val order = (matchAttrs :+ "I") ++ canon.columns.filterNot((matchAttrs :+ "I").contains)
+    val logger = "org.apache.spark.sql.execution.window.WindowExec"
+    val level = LogManager.getLogger(logger).getLevel
+    Configurator.setLevel(logger, Level.ERROR)
+    try canon.withColumn("cid", row_number().over(Window.orderBy(order.map(col): _*)).cast("long") - 1)
+      .orderBy("cid").collect()
+    finally Configurator.setLevel(logger, level)
+  }
+
+  test("cids follow Spark's sort order: nulls first, UTF-8 strings, -0.0 = 0.0, NaN last") {
+    val nan = Double.NaN
+    // "～" (U+FF5E) sorts before "😀" (U+1F600) in UTF-8 but after it in
+    // UTF-16. Rows that tie on the key columns differ in a later column, so
+    // the oracle's order has no ties but identical rows.
+    val rows = Seq[(String, Any, Any, String, String)](
+      ("😀", 1.0, 1.0, "u1", "x"), ("～", 1.0, 1.0, "u2", "x"), ("z", 1.0, 1.0, "u0", "x"),
+      (null, 2.0, 1.0, "u3", "a"), (null, null, 1.0, null, null), (null, null, null, "u3", null),
+      ("a", -0.0, 1.0, "u4", "c"), ("a", 0.0, 1.0, "u4", "b"), ("a", nan, 1.0, "u5", "a"),
+      ("a", 5.0, 1.0, "u6", "a"), ("a", Double.PositiveInfinity, 1.0, "u6", "a"), ("a", -1.0, 1.0, "u6", "a"),
+      ("b", 1.0, 0.0, "u7", "z"), ("b", 1.0, -0.0, "u7", "y"), ("b", 1.0, nan, "u7", "a"), ("b", 1.0, null, "u7", "a"),
+      ("c", 1.0, 1.0, "u8", "e"), ("c", 1.0, 1.0, "u8", "e"), ("c", 1.0, 1.0, null, "e"), ("c", 1.0, 1.0, "u8", null),
+      ("B", 1.0, 1.0, "u9", "e"), ("", 1.0, 1.0, "u9", "e"), ("é", 1.0, 1.0, "u9", "e"))
+    val schema = StructType(Seq(StructField("name", StringType), StructField("num", DoubleType),
+      StructField("I", DoubleType), StructField("uid", StringType), StructField("extra", StringType)))
+    val df = spark.createDataFrame(
+      java.util.Arrays.asList(new scala.util.Random(3).shuffle(rows).map { case (a, b, c, d, e) => Row(a, b, c, d, e) }: _*),
+      schema)
+    val expected = withSevenPartitions(windowCidRows(df, Seq("name", "num"))).map(_.toString).toSeq
+    assert(expected.size == rows.size)
+    for (input <- Seq(df, df.repartition(3), df.orderBy(col("extra").desc)))
+      assert(Pipeline.withCid(input, Seq("name", "num")).orderBy("cid").collect().map(_.toString).toSeq == expected)
+  }
+
+  test("a null numeric matching value scores 0 instead of failing stage 1") {
+    import spark.implicits._
+    def side(dob: String) = Seq(("ann lee", "F", "1950", 1.0, "p1"), ("bob ray", "M", dob, 1.0, "p2"))
+      .toDF("name", "gender", "dob", "I", "uid")
+    val p = Pipeline.prepare(side(null), side("1960"), ImdbQueries.personAttrs, Phi.Equiv)
+    assert(p.stats.generated == 2 && p.inst.matches.size == 2)
+    assert(p.gold.evidence == Set(("ann lee|F|1950", "ann lee|F|1950"), ("bob ray|M|", "bob ray|M|1960")))
   }
 
   test("stats report every stage-1 phase and the candidate count") {
     val s = prepared.stats
     assert((s.t1, s.t2, s.nMatches) == ((prepared.inst.t1.size, prepared.inst.t2.size, prepared.inst.matches.size)))
-    assert(Seq(s.tuplesS, s.goldS, s.candidatesS, s.calibrateS, s.sortS).forall(_ >= 0.0))
+    // No floor: every generated pair is kept.
+    assert(s.generated == s.nMatches)
+    assert(Seq(s.tuplesS, s.goldS, s.candidatesS, s.calibrateS).forall(_ >= 0.0))
     assert(s.tuplesS + s.candidatesS > 0.0)
     assert(s.labeled > 0 && s.labeled < s.nMatches, s.labeled)
     assert(s.trueLabels > 0 && s.trueLabels <= s.labeled, s.trueLabels)
@@ -94,7 +150,8 @@ class PipelineSpec extends SparkSpec {
       sc.removeSparkListener(listener)
     }
     val descs = seen.toArray(Array.empty[String]).toSeq.takeWhile(_ != "caller")
-    assert(descs.toSet == Set("stage 1: tuples", "stage 1: candidates"), descs.distinct)
+    // The collect of each side is stage 1's only Spark work.
+    assert(descs.toSet == Set("stage 1: tuples"), descs.distinct)
   }
 
   test("prepared matches are strictly sorted by (left, right)") {

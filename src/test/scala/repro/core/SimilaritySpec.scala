@@ -113,6 +113,52 @@ class SimilaritySpec extends SparkSpec {
     expected.foreach { case (k, v) => assert(math.abs(got(k) - v) < 1e-12, s"pair $k") }
   }
 
+  test("a null numeric value scores 0, as a null text value does") {
+    import spark.implicits._
+    val l = Seq((0L, "alpha beta", None: Option[Double]), (1L, "gamma", Some(2.0))).toDF("cid", "name", "num")
+    val r = Seq((0L, "alpha beta", Some(5.0)), (1L, "gamma", None: Option[Double])).toDF("cid", "name", "num")
+    val got = Similarity.candidatePairs(l, r, Seq(KeyAttr("name"), KeyAttr("num", numeric = true)))
+      .collect().map(x => ((x.getLong(0), x.getLong(1)), x.getDouble(2))).toMap
+    assert(got == Map((0L, 0L) -> 0.5, (1L, 1L) -> 0.5))
+  }
+
+  test("tokens block across attributes: random instance against a driver-side brute force") {
+    import spark.implicits._
+    // Two blocking text attributes drawing from one vocabulary, so many pairs
+    // share a token only across attributes; a non-blocking text attribute
+    // and a numeric one, each sometimes null.
+    val rnd = new scala.util.Random(11)
+    def maybe[A](a: => A): Option[A] = if (rnd.nextInt(6) == 0) None else Some(a)
+    def phrase(n: Int) = (0 until n).map(_ => s"W${rnd.nextInt(14)}").mkString(" ")
+    def side() = (0L until 30L).map(i =>
+      (i, maybe(phrase(2)).orNull, maybe(phrase(1 + rnd.nextInt(2))).orNull, maybe(phrase(1)).orNull,
+        maybe(rnd.nextInt(4).toDouble)))
+    val (lrows, rrows) = (side(), side())
+    val attrs = Seq(KeyAttr("a"), KeyAttr("b"), KeyAttr("g", blocking = false), KeyAttr("x", numeric = true))
+    val got = Similarity
+      .candidatePairs(lrows.toDF("cid", "a", "b", "g", "x"), rrows.toDF("cid", "a", "b", "g", "x"), attrs)
+      .collect().map(x => ((x.getLong(0), x.getLong(1)), x.getDouble(2))).toMap
+
+    def toks(s: String): Set[String] = Option(s).fold(Set.empty[String])(_.toLowerCase.split(" ").toSet)
+    def jaccard(a: String, b: String) = {
+      val (x, y) = (toks(a), toks(b))
+      if (x.isEmpty && y.isEmpty) 0.0 else x.intersect(y).size.toDouble / x.union(y).size.toDouble
+    }
+    val expected = (for {
+      (li, la, lb, lg, lx) <- lrows; (ri, ra, rb, rg, rx) <- rrows
+      if (toks(la) ++ toks(lb)).intersect(toks(ra) ++ toks(rb)).nonEmpty
+      num = (for (p <- lx; q <- rx) yield 1.0 / (1.0 + (p - q) * (p - q))).getOrElse(0.0)
+    } yield ((li, ri), (jaccard(la, ra) + jaccard(lb, rb) + jaccard(lg, rg) + num) / 4.0)).toMap
+    val crossOnly = lrows.count { case (_, la, lb, _, _) =>
+      rrows.exists { case (_, ra, rb, _, _) =>
+        toks(la).intersect(toks(ra)).isEmpty && toks(lb).intersect(toks(rb)).isEmpty &&
+          (toks(la) ++ toks(lb)).intersect(toks(ra) ++ toks(rb)).nonEmpty
+      }
+    }
+    assert(crossOnly > 0, "the instance must hold pairs that share a token only across attributes")
+    assert(got == expected)
+  }
+
   test("requires at least one text attribute") {
     val l = df(Seq((0L, "x")), Seq((0L, 1.0)))
     assertThrows[IllegalArgumentException](

@@ -32,18 +32,18 @@ class ExperimentsSpec extends AnyFunSuite {
 
   test("render marks unproved rows") {
     val run = Experiments.PairRun(
-      "pair", 123, PairStats(10, 12, 30, labeled = 14, trueLabels = 5,
-        tuplesS = 0.1, goldS = 0.5, candidatesS = 1.25, calibrateS = 0.02, sortS = 0.01),
+      "pair", 123, PairStats(10, 12, 30, generated = 41, labeled = 14, trueLabels = 5,
+        tuplesS = 0.1, goldS = 0.5, candidatesS = 1.25, calibrateS = 0.02),
       Seq(Harness.AlgoResult("ALGO", "pair", PRF(1, 1, 1), PRF(1, 1, 1), 7, proved = false)), Nil)
     val lines = Experiments.render(run).linesIterator.toSeq
-    assert(lines.head.contains("candidates 1.250s, calibrate 0.020s") &&
-      lines.head.contains("sort 0.010s; 30 candidate matches, 14 labeled (5 true)"), lines.head)
+    assert(lines.head.contains("candidates 1.250s, calibrate 0.020s; 41 pairs generated, " +
+      "30 candidate matches kept, 14 labeled (5 true)"), lines.head)
     assert(lines(1).endsWith("UNPROVED"))
   }
 
   test("PairStats.mean averages every field") {
-    val m = PairStats.mean(Seq(PairStats(10, 20, 30, 8, 2, 1, 2, 3, 4, 5), PairStats(11, 21, 31, 11, 5, 3, 4, 5, 6, 7)))
-    assert(m == PairStats(10, 20, 30, 9, 3, 2, 3, 4, 5, 6))
+    val m = PairStats.mean(Seq(PairStats(10, 20, 30, 40, 8, 2, 1, 2, 3, 4), PairStats(11, 21, 31, 43, 11, 5, 3, 4, 5, 6)))
+    assert(m == PairStats(10, 20, 30, 41, 9, 3, 2, 3, 4, 5))
   }
 
   test("renderSynthetic formats one line per point") {

@@ -43,7 +43,7 @@ object ExplainSolver {
     */
   def solve(inst: Instance, config: Config = Config(), groupOf: Long => Int = _ => 0): Solution = {
     require(
-      inst.matches.map(m => (m.left, m.right)).distinct.size == inst.matches.size,
+      !hasDuplicatePair(inst.matches),
       "duplicate (left,right) pairs in matches — stage 1 emits one match per pair")
     val deadline = System.nanoTime() + config.timeLimitMs * 1000000L
     val (kept, cut) = inst.matches.partition(m => groupOf(m.left) == groupOf(m.right))
@@ -96,6 +96,24 @@ object ExplainSolver {
 
     val e = ExplanationSet(delta.result(), values.result(), evidence.result())
     Solution(e, totalLogProb, proved, nodes)
+  }
+
+  /** (left, right) order on matches, by their primitive ends. */
+  private val byEnds: Ordering[TupleMatch] = (a, b) => {
+    val c = java.lang.Long.compare(a.left, b.left)
+    if (c != 0) c else java.lang.Long.compare(a.right, b.right)
+  }
+
+  /** Whether two matches share (left, right): the matches sorted by their
+    * ends, each compared with its neighbour. Stage 1 emits them sorted, so
+    * the sort is one pass over a copy.
+    */
+  private def hasDuplicatePair(ms: Vector[TupleMatch]): Boolean = {
+    val sorted = ms.toArray
+    sorted.sortInPlace()(byEnds)
+    var i = 1
+    while (i < sorted.length && byEnds.compare(sorted(i - 1), sorted(i)) != 0) i += 1
+    i < sorted.length
   }
 
   private final case class CompResult(

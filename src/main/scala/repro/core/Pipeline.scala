@@ -16,12 +16,14 @@ import scala.jdk.CollectionConverters._
   * standard, and the id→key translation used by metrics.
   *
   * Spark does the heavy lifting over provenance-scale data (provenance and
-  * canonicalization) and tokenizes; [[prepare]] then runs one Spark job per
-  * side, which collects the canonical relation — orders of magnitude
-  * smaller than the raw datasets — mirroring the paper's CPLEX
-  * architecture. Cid assignment, the similarity join, gold derivation and
-  * calibration are driver passes over those rows, so the output depends
-  * only on the canonical relations, not on their partitioning or caching.
+  * canonicalization) and tokenizes; [[prepare]] then collects each side's
+  * canonical relation once — orders of magnitude smaller than the raw
+  * datasets — mirroring the paper's CPLEX architecture. The two sides are
+  * disjoint, so their collects run concurrently: the left side's on the
+  * caller's thread, the right side's on one more. Cid assignment, the
+  * similarity join, gold derivation and calibration are driver passes over
+  * those rows, so the output depends only on the canonical relations, not
+  * on their partitioning or caching.
   */
 object Pipeline {
 
@@ -37,7 +39,9 @@ object Pipeline {
     * the matches kept at the floor, the calibration's labeled pairs and true
     * labels among them, and wall seconds of each phase of [[prepare]] in run
     * order (the tuple collect and cid order, gold derivation, the
-    * similarity join, calibration).
+    * similarity join, calibration). The two sides collect concurrently, so
+    * `leftS` and `rightS`, each side's own collect and cid order, can sum
+    * to more than `tuplesS`.
     */
   final case class PairStats(
       t1: Int,
@@ -47,14 +51,16 @@ object Pipeline {
       labeled: Int = 0,
       trueLabels: Int = 0,
       tuplesS: Double = 0.0,
+      leftS: Double = 0.0,
+      rightS: Double = 0.0,
       goldS: Double = 0.0,
       candidatesS: Double = 0.0,
       calibrateS: Double = 0.0,
   ) {
     def phases: String =
-      f"stage 1: tuples $tuplesS%.3fs, gold $goldS%.3fs, candidates $candidatesS%.3fs, " +
-        f"calibrate $calibrateS%.3fs; $generated pairs generated, $nMatches candidate matches kept, " +
-        f"$labeled labeled ($trueLabels true)"
+      f"stage 1: tuples $tuplesS%.3fs (left $leftS%.3fs, right $rightS%.3fs), gold $goldS%.3fs, " +
+        f"candidates $candidatesS%.3fs, calibrate $calibrateS%.3fs; $generated pairs generated, " +
+        f"$nMatches candidate matches kept, $labeled labeled ($trueLabels true)"
   }
 
   object PairStats {
@@ -63,8 +69,8 @@ object Pipeline {
       val n = ss.size
       PairStats(ss.map(_.t1).sum / n, ss.map(_.t2).sum / n, ss.map(_.nMatches).sum / n,
         ss.map(_.generated).sum / n, ss.map(_.labeled).sum / n, ss.map(_.trueLabels).sum / n,
-        ss.map(_.tuplesS).sum / n, ss.map(_.goldS).sum / n, ss.map(_.candidatesS).sum / n,
-        ss.map(_.calibrateS).sum / n)
+        ss.map(_.tuplesS).sum / n, ss.map(_.leftS).sum / n, ss.map(_.rightS).sum / n,
+        ss.map(_.goldS).sum / n, ss.map(_.candidatesS).sum / n, ss.map(_.calibrateS).sum / n)
     }
   }
 
@@ -82,6 +88,25 @@ object Pipeline {
       val a = body
       (a, (System.nanoTime() - t0) / 1e9)
     } finally sc.setLocalProperty(JobDescription, caller)
+  }
+
+  /** The name of the thread on which [[prepare]] collects the right side. */
+  private[core] val RightSideThread = "explain3d stage 1: right side"
+
+  /** Runs `a` on the calling thread and `b` on a new thread, and returns
+    * both results once both have finished; the new thread has ended when
+    * this returns or throws. The new thread starts with a copy of the
+    * caller's Spark local properties (job group, job description), so its
+    * jobs carry them and nothing it sets reaches the caller. An exception
+    * of `a` is rethrown first, one of `b` after it.
+    */
+  private def concurrently[A, B](a: => A, b: => B): (A, B) = {
+    var rb: Either[Throwable, B] = null
+    val thread = new Thread(() => rb = try Right(b) catch { case e: Throwable => Left(e) }, RightSideThread)
+    thread.start()
+    // join() also makes the thread's write of rb visible here.
+    val ra = try a finally thread.join()
+    (ra, rb.fold(e => throw e, identity))
   }
 
   /** The columns that order cids: the matching attributes, `I`, then every
@@ -145,61 +170,72 @@ object Pipeline {
     val matchAttrs = attrs.map(_.name)
     val sc = leftCanon.sparkSession.sparkContext
 
-    /** One side's rows in cid order. From column 0 a row holds the
-      * similarity features, the cid columns as given, the matching
+    /** One side's collect and tuple build. From column 0 a collected row
+      * holds the similarity features, the cid columns as given, the matching
       * attributes and extras as strings, `I` as a double and `uid` as a
       * string.
       */
-    final class Side(df: DataFrame, side: Int, offset: Long) {
+    final class Side(df: DataFrame, side: Int) {
       private val order = cidColumns(df.columns.toSeq, matchAttrs)
       // Any column beyond (matchAttrs, I, uid) is an extra provenance
       // attribute carried for stage-3 summarization.
       private val extras = df.columns.toSeq.diff(matchAttrs ++ Seq("I", "uid"))
       private val strAt = attrs.size + order.size
       private val iIdx = strAt + matchAttrs.size + extras.size
-      val rows: IndexedSeq[Row] = {
+
+      /** The side's rows, collected once and put in cid order, and the
+        * wall seconds they took.
+        */
+      def collect(): (IndexedSeq[Row], Double) = {
+        val t0 = System.nanoTime()
         val cols = Similarity.features(attrs) ++ order.map(col) ++
           (matchAttrs ++ extras).map(c => coalesce(col(c).cast("string"), lit(""))) ++
           Seq(col("I").cast("double"), col("uid").cast("string"))
-        cidOrder(df.select(cols: _*).collect(), attrs.size until strAt).toIndexedSeq
+        val rows = cidOrder(df.select(cols: _*).collect(), attrs.size until strAt).toIndexedSeq
+        (rows, (System.nanoTime() - t0) / 1e9)
       }
-      // Tuple id = cid + offset.
-      val tuples: Vector[CTuple] = rows.iterator.zipWithIndex.map { case (r, cid) =>
-        val key = matchAttrs.indices.map(i => r.getString(strAt + i))
-        val extraVals = extras.indices.map(i => r.getString(strAt + matchAttrs.size + i))
-        CTuple(cid + offset, side, key, r.getDouble(iIdx),
-          matchAttrs.zip(key).toMap ++ extras.zip(extraVals).toMap)
-      }.toVector
-      val uids: IndexedSeq[String] = rows.map(_.getString(iIdx + 1))
+
+      /** Tuple id = cid + offset. */
+      def tuples(rows: IndexedSeq[Row], offset: Long): Vector[CTuple] =
+        rows.iterator.zipWithIndex.map { case (r, cid) =>
+          val key = matchAttrs.indices.map(i => r.getString(strAt + i))
+          val extraVals = extras.indices.map(i => r.getString(strAt + matchAttrs.size + i))
+          CTuple(cid + offset, side, key, r.getDouble(iIdx),
+            matchAttrs.zip(key).toMap ++ extras.zip(extraVals).toMap)
+        }.toVector
+
+      /** Each tuple's `uid`, in cid order. */
+      def uids(rows: IndexedSeq[Row]): IndexedSeq[String] = rows.map(_.getString(iIdx + 1))
     }
-    val ((l, r), tuplesS) = phase(sc, "tuples") {
-      val l = new Side(leftCanon, 1, 0L)
-      (l, new Side(rightCanon, 2, l.rows.size.toLong))
-    }
-    val (t1, t2) = (l.tuples, r.tuples)
-    val offset = t1.size.toLong
+    val (left, right) = (new Side(leftCanon, 1), new Side(rightCanon, 2))
+    val (((lRows, leftS), (rRows, rightS)), tuplesS) =
+      phase(sc, "tuples")(concurrently(left.collect(), right.collect()))
+    val offset = lRows.size.toLong
+    val (t1, t2) = (left.tuples(lRows, 0L), right.tuples(rRows, offset))
+    val (lUids, rUids) = (left.uids(lRows), right.uids(rRows))
     val keyOf = (t1 ++ t2).map(t => t.id -> (t.side, t.key.mkString("|"))).toMap
 
-    def entries(s: Side) = s.tuples.zip(s.uids).map { case (t, u) => Gold.Entry(keyOf(t.id)._2, t.impact, u) }
-    val (gold, goldS) = phase(sc, "gold")(Gold.derive(entries(l), entries(r), phi))
+    def entries(ts: Vector[CTuple], uids: IndexedSeq[String]) =
+      ts.zip(uids).map { case (t, u) => Gold.Entry(keyOf(t.id)._2, t.impact, u) }
+    val (gold, goldS) = phase(sc, "gold")(Gold.derive(entries(t1, lUids), entries(t2, rUids), phi))
 
     // simFloor models the blocking step of practical linkage systems: pairs
     // below the floor never become candidates (zero-overlap pairs already
     // don't). 0.0 keeps every token-sharing pair.
     val (cands, candidatesS) = phase(sc, "candidates")(
-      Similarity.join(l.rows, r.rows, attrs, simFloor))
+      Similarity.join(lRows, rRows, attrs, simFloor))
     val lid = cands.lid.map(_.toLong)
     val rid = cands.rid.map(_.toLong)
     // Both uids equal and non-null: the pair is a gold evidence pair.
     def isTrue(i: Long, j: Long): Boolean = {
-      val u = l.uids(i.toInt)
-      u != null && u == r.uids(j.toInt)
+      val u = lUids(i.toInt)
+      u != null && u == rUids(j.toInt)
     }
     val (cal, calibrateS) = phase(sc, "calibrate")(Calibration.probabilities(lid, rid, cands.sim, isTrue))
     val matches = Vector.tabulate(lid.length)(i => TupleMatch(lid(i), rid(i) + offset, cal.p(i)))
 
     val inst = Instance(t1, t2, matches, phi)
     PreparedPair(inst, keyOf, gold, PairStats(t1.size, t2.size, matches.size, cands.generated,
-      cal.labeled, cal.trues, tuplesS, goldS, candidatesS, calibrateS))
+      cal.labeled, cal.trues, tuplesS, leftS, rightS, goldS, candidatesS, calibrateS))
   }
 }

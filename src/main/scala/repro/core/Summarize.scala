@@ -35,6 +35,10 @@ object Summarize {
       others: Seq[Map[String, String]],
       maxPatterns: Int = 64,
   ): Summary = {
+    // How many non-targets each (attr, value) pair covers: a map holds at
+    // most one value per attribute, so this counts covering maps.
+    val othersCovered = scala.collection.mutable.HashMap.empty[(String, String), Int]
+    others.foreach(_.foreach { kv => othersCovered(kv) = othersCovered.getOrElse(kv, 0) + 1 })
     var remaining = targets.zipWithIndex.toSet
     val chosen = Seq.newBuilder[Pattern]
     var n = 0
@@ -44,13 +48,12 @@ object Summarize {
       remaining.foreach { case (t, _) =>
         t.foreach { kv => counts(kv) = counts.getOrElse(kv, 0) + 1 }
       }
-      val best = counts.iterator.map { case ((a, v), cov) =>
-        val fp = others.count(_.get(a).contains(v))
-        ((a, v), cov, cov - FalsePosCost * fp)
-      }.filter(_._2 >= 2).maxByOption(c => (c._3, c._2, c._1))
+      val best = counts.iterator.filter(_._2 >= 2).map { case (av, cov) =>
+        (av, cov, cov - FalsePosCost * othersCovered.getOrElse(av, 0))
+      }.maxByOption(c => (c._3, c._2, c._1))
       best match {
         case Some(((a, v), cov, score)) if score > 1.0 =>
-          chosen += Pattern(a, v, cov, others.count(_.get(a).contains(v)))
+          chosen += Pattern(a, v, cov, othersCovered.getOrElse((a, v), 0))
           remaining = remaining.filterNot { case (t, _) => t.get(a).contains(v) }
           n += 1
         case _ => go = false

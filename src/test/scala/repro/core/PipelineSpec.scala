@@ -14,6 +14,9 @@ import org.apache.logging.log4j.{Level, LogManager}
 import org.apache.logging.log4j.core.config.Configurator
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import scala.jdk.CollectionConverters._
+import scala.util.Try
 
 /** End-to-end pipeline tests on the §5.3 synthetic generator: stage 1 in
   * Spark, stage 2 in the solver, metrics against the derived gold standard.
@@ -125,6 +128,8 @@ class PipelineSpec extends SparkSpec {
     assert(s.generated == s.nMatches)
     assert(Seq(s.tuplesS, s.goldS, s.candidatesS, s.calibrateS).forall(_ >= 0.0))
     assert(s.tuplesS + s.candidatesS > 0.0)
+    // Each side's collect runs inside the tuples phase.
+    assert(s.leftS > 0.0 && s.rightS > 0.0 && s.leftS <= s.tuplesS && s.rightS <= s.tuplesS, s)
     assert(s.labeled > 0 && s.labeled < s.nMatches, s.labeled)
     assert(s.trueLabels > 0 && s.trueLabels <= s.labeled, s.trueLabels)
   }
@@ -154,6 +159,106 @@ class PipelineSpec extends SparkSpec {
     assert(descs.toSet == Set("stage 1: tuples"), descs.distinct)
   }
 
+  private val cfg40 = SyntheticGen.Config(n = 40, d = 0.2, v = 30, seed = 5)
+
+  /** Prepares the n=40 pair with `left` and `right` applied to its sides. */
+  private def prepare40(left: DataFrame => DataFrame = identity, right: DataFrame => DataFrame = identity) =
+    Pipeline.prepare(left(SyntheticGen.canonicalSide(spark, cfg40, 1)),
+      right(SyntheticGen.canonicalSide(spark, cfg40, 2)), Seq(KeyAttr("match_attr")), Phi.Equiv)
+
+  /** Runs `body` on a new thread, which starts with this thread's Spark
+    * local properties, and waits a bounded time for it, so a hang fails the
+    * test.
+    */
+  private def bounded[A](body: => A): Try[A] = {
+    val result = new java.util.concurrent.atomic.AtomicReference[Try[A]]()
+    new Thread(() => result.set(Try(body))).start()
+    eventually(timeout(Span(120, Seconds))) { assert(result.get != null) }
+    result.get
+  }
+
+  /** `match_attr` passed through a UDF that records, from inside the task,
+    * whether the stage-1 thread is alive. With `fail` it throws that
+    * message; `lagging`, its first call waits until a side has failed, then
+    * half a second more, so this side is still collecting when the other
+    * side's exception reaches `prepare`. The UDF refers to the companion
+    * object only, so it serializes.
+    */
+  private def probed(fail: Option[String] = None, lagging: Boolean = false)(df: DataFrame): DataFrame = {
+    val probe = udf { (s: String) =>
+      import PipelineSpec._
+      if (stage1ThreadAlive) stage1ThreadSeen.set(true)
+      fail.foreach { msg => sideFailed.set(true); throw new IllegalStateException(msg) }
+      if (lagging && lagged.compareAndSet(false, true)) {
+        val deadline = System.nanoTime() + 20L * 1000000000L
+        while (!sideFailed.get && System.nanoTime() < deadline) Thread.sleep(10)
+        Thread.sleep(500)
+      }
+      s
+    }
+    df.withColumn("match_attr", probe(col("match_attr")))
+  }
+
+  test("a caller's job group reaches the jobs of both sides and stays the caller's") {
+    val sc = spark.sparkContext
+    // (description, job group, SQL execution id) of every job started.
+    val jobs = new java.util.concurrent.ConcurrentLinkedQueue[(String, String, String)]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        def prop(k: String) = Option(e.properties).flatMap(p => Option(p.getProperty(k))).getOrElse("")
+        jobs.add((prop("spark.job.description"), prop("spark.jobGroup.id"), prop("spark.sql.execution.id")))
+      }
+    }
+    // A job described `name` and in no group: the jobs between two markers
+    // are prepare's, whatever other jobs the listener bus still holds.
+    def marker(name: String): Unit = {
+      sc.setJobDescription(name)
+      try sc.parallelize(Seq(1)).count() finally sc.setJobDescription(null)
+    }
+    sc.addSparkListener(listener)
+    val callerGroup = try {
+      marker("start")
+      sc.setJobGroup("prepare group", "caller")
+      val got = bounded { prepare40(); sc.getLocalProperty("spark.jobGroup.id") }
+      sc.clearJobGroup()
+      marker("end")
+      eventually(timeout(Span(30, Seconds))) { assert(jobs.asScala.exists(_._1 == "end")) }
+      got.get
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    assert(callerGroup == "prepare group")
+    val stage1 = jobs.asScala.toSeq.dropWhile(_._1 != "start").drop(1).takeWhile(_._1 != "end")
+    assert(stage1.nonEmpty && stage1.forall(j => j._1 == "stage 1: tuples" && j._2 == "prepare group"), stage1)
+    // Each side's collect is one SQL execution.
+    assert(stage1.map(_._3).distinct.size == 2, stage1)
+  }
+
+  test("the stage-1 thread runs the right side's collect and has ended when prepare returns") {
+    PipelineSpec.stage1ThreadSeen.set(false)
+    val p = bounded(prepare40(right = probed())).get
+    assert(PipelineSpec.stage1ThreadSeen.get, "no right-side task ran while the stage-1 thread was alive")
+    assert(!PipelineSpec.stage1ThreadAlive)
+    assert(p.inst.matches == prepare40().inst.matches)
+  }
+
+  test("a side whose collect throws makes prepare throw that exception, and no stage-1 thread is left") {
+    def causes(e: Throwable) = Iterator.iterate(e)(_.getCause).takeWhile(_ != null)
+    for (side <- Seq("left", "right")) {
+      val msg = s"$side side fails"
+      PipelineSpec.sideFailed.set(false)
+      PipelineSpec.lagged.set(false)
+      val failing = probed(fail = Some(msg)) _
+      val got = bounded(
+        if (side == "left") prepare40(left = failing, right = probed(lagging = true))
+        else prepare40(right = failing))
+      val e = got.failed.getOrElse(fail(s"$side: prepare returned"))
+      assert(causes(e).exists(c => c.isInstanceOf[IllegalStateException] && c.getMessage == msg), e)
+      assert(!PipelineSpec.stage1ThreadAlive, side)
+    }
+  }
+
   test("prepared matches are strictly sorted by (left, right)") {
     // Strictly: one match per pair, in the edge order stage 2 relies on.
     val pairs = prepared.inst.matches.map(m => (m.left, m.right))
@@ -164,10 +269,8 @@ class PipelineSpec extends SparkSpec {
 
   test("prepare releases the relations it caches") {
     val sc = spark.sparkContext
-    val cfg = SyntheticGen.Config(n = 40, d = 0.2, v = 30, seed = 5)
     val before = sc.getPersistentRDDs.size
-    Pipeline.prepare(SyntheticGen.canonicalSide(spark, cfg, 1), SyntheticGen.canonicalSide(spark, cfg, 2),
-      Seq(KeyAttr("match_attr")), Phi.Equiv)
+    prepare40()
     assert(sc.getPersistentRDDs.size == before)
   }
 
@@ -235,4 +338,18 @@ class PipelineSpec extends SparkSpec {
     val rows = algos.map(a => Harness.run(a, prepared, "synthetic"))
     assert(rows.map(_.algorithm).distinct.size == algos.size)
   }
+}
+
+object PipelineSpec {
+  import java.util.concurrent.atomic.AtomicBoolean
+
+  def stage1ThreadAlive: Boolean =
+    Thread.getAllStackTraces.keySet.asScala.exists(t => t.getName == Pipeline.RightSideThread && t.isAlive)
+
+  /** Set by a probe UDF when a task of it runs while the stage-1 thread is alive. */
+  val stage1ThreadSeen = new AtomicBoolean(false)
+  /** Set by a probe UDF just before it throws. */
+  val sideFailed = new AtomicBoolean(false)
+  /** Set by the first call of a lagging probe UDF. */
+  val lagged = new AtomicBoolean(false)
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.core.Model._
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Production stage-2 solver: exact branch-and-bound over the EXP-3D
@@ -23,6 +24,10 @@ import scala.collection.mutable.ArrayBuffer
   * smart-partitioning optimizer. This is the only stage-2 solve loop: NOOPT
   * solves with one group, and smart partitioning (BATCH) passes its
   * partition as the grouping, which only decides which matches are cut.
+  *
+  * The solve works on primitive arrays: the set-up before the search is
+  * linear in |T| + |M|, the search keeps its incumbent lazily, and each
+  * [[Model.Solution]] reports its [[Model.SolveStats]].
   */
 object ExplainSolver {
 
@@ -32,98 +37,186 @@ object ExplainSolver {
     */
   final case class Config(nodeCap: Long = 5_000_000L, timeLimitMs: Long = 120_000L)
 
-  /** Solves `inst` exactly, one connected component at a time.
-    *
-    * `groupOf` assigns each tuple to a group (a smart partition); by default
-    * all tuples share one. A match whose ends lie in different groups is
-    * cut: it never joins a component and is never evidence, and it adds
-    * its unselected cost log(1−p). One deadline covers the whole solve, the
-    * node cap applies per component, and the solution is proved only if
-    * every component is.
+  /** An instance's tuples and matches by position, for the array-based
+    * stage-2 passes: tuples in `inst.tupleById` order, matches in
+    * `inst.matches` order, each match's ends as tuple positions.
     */
-  def solve(inst: Instance, config: Config = Config(), groupOf: Long => Int = _ => 0): Solution = {
+  private[repro] final class Indexed(val inst: Instance) {
+    val tuples: Array[CTuple] = inst.tupleById.values.toArray
+    val ids: Array[Long] = tuples.map(_.id)
+    val pos: mutable.LongMap[Int] = Scoring.positions(ids)
+    val left = new Array[Int](inst.matches.size)
+    val right = new Array[Int](inst.matches.size)
+    val p = new Array[Double](inst.matches.size)
+    locally {
+      var i = 0
+      inst.matches.foreach { m => left(i) = pos(m.left); right(i) = pos(m.right); p(i) = m.p; i += 1 }
+    }
+  }
+
+  /** Solves `inst` exactly, one connected component at a time. One
+    * deadline covers the whole solve, the node cap applies per component,
+    * and the solution is proved only if every component is.
+    */
+  def solve(inst: Instance, config: Config = Config()): Solution = {
+    val t0 = System.nanoTime()
+    val ix = new Indexed(inst)
+    solve(ix, config, new Array[Int](ix.ids.length), t0, splitS = 0.0)
+  }
+
+  /** [[solve]] with tuple `i` in group `group(i)` (a smart partition). A
+    * match whose ends lie in different groups is cut: it never joins a
+    * component and is never evidence, and it adds its unselected cost
+    * log(1−p). The solve's set-up started at `t0`, of which `splitS`
+    * seconds went to computing `group`.
+    *
+    * Everything before the search is linear in |T| + |M|: one union-find
+    * over positions, components and their matches bucketed by counting sort
+    * (components by root id, tuples and matches in instance order), and
+    * each cut match's log(1−p) summed first, in match order.
+    */
+  private[repro] def solve(ix: Indexed, config: Config, group: Array[Int], t0: Long, splitS: Double): Solution = {
     require(
-      !hasDuplicatePair(inst.matches),
+      !hasDuplicatePair(ix),
       "duplicate (left,right) pairs in matches — stage 1 emits one match per pair")
     val deadline = System.nanoTime() + config.timeLimitMs * 1000000L
-    val (kept, cut) = inst.matches.partition(m => groupOf(m.left) == groupOf(m.right))
+    val inst = ix.inst
+    val nT = ix.ids.length
+    val nM = ix.p.length
 
     // Split into connected components of the uncut candidate graph; each
     // is an independent subproblem (presolve step of any MILP solver).
-    val uf = new Scoring.UnionFind(inst.tupleById.keys)
-    kept.foreach(m => uf.union(m.left, m.right))
-    val tuplesByComp = inst.tupleById.values.toSeq.groupBy(t => uf.find(t.id))
-    val matchesByComp = kept.groupBy(m => uf.find(m.left))
+    val uf = new Scoring.UnionFind(ix.ids)
+    val kept = new Array[Boolean](nM)
+    var totalLogProb = 0.0
+    var nCut = 0
+    for (m <- 0 until nM) {
+      if (group(ix.left(m)) == group(ix.right(m))) { kept(m) = true; uf.link(ix.left(m), ix.right(m)) }
+      else { totalLogProb += math.log(1 - ix.p(m)); nCut += 1 }
+    }
+    val (nComp, compOf) = uf.classes()
+    val tStart = new Array[Int](nComp + 1)
+    val mStart = new Array[Int](nComp + 1)
+    for (i <- 0 until nT) tStart(compOf(i) + 1) += 1
+    for (m <- 0 until nM if kept(m)) mStart(compOf(ix.left(m)) + 1) += 1
+    for (c <- 0 until nComp) { tStart(c + 1) += tStart(c); mStart(c + 1) += mStart(c) }
+    val compTuples = new Array[Int](nT)
+    val local = new Array[Int](nT) // a tuple's index within its component
+    val compMatches = new Array[Int](mStart(nComp))
+    locally {
+      val next = tStart.clone()
+      for (i <- 0 until nT) {
+        val c = compOf(i)
+        compTuples(next(c)) = i; local(i) = next(c) - tStart(c); next(c) += 1
+      }
+      System.arraycopy(mStart, 0, next, 0, nComp + 1)
+      for (m <- 0 until nM if kept(m)) {
+        val c = compOf(ix.left(m))
+        compMatches(next(c)) = m; next(c) += 1
+      }
+    }
 
-    var totalLogProb = cut.iterator.map(m => math.log(1 - m.p)).sum
     var proved = true
     var nodes = 0L
+    var searched = 0
+    var largest = 0
+    var searchNs = 0L
     val delta = Set.newBuilder[Long]
     val values = Map.newBuilder[Long, ValueChange]
     val evidence = Set.newBuilder[(Long, Long)]
+    val matched = new Array[Boolean](nT)
 
     val p = inst.params
     def emitUnmatched(t: CTuple): Unit =
       if (p.deletesUnmatched(t.impact)) delta += t.id
       else if (t.impact != 0.0) values += t.id -> ValueChange(t.id, t.impact, 0.0)
 
-    for ((root, tuples) <- tuplesByComp.toSeq.sortBy(_._1)) {
-      val ms = matchesByComp.getOrElse(root, Vector.empty)
-      if (ms.isEmpty) {
+    for (c <- 0 until nComp) {
+      val nE = mStart(c + 1) - mStart(c)
+      if (nE == 0) {
         // Singleton (or matchless) tuples: closed form.
-        tuples.foreach { t => totalLogProb += p.unmatchedCost(t.impact); emitUnmatched(t) }
+        for (k <- tStart(c) until tStart(c + 1)) {
+          val t = ix.tuples(compTuples(k))
+          totalLogProb += p.unmatchedCost(t.impact); emitUnmatched(t)
+        }
       } else {
-        val comp = new Component(tuples.toVector, ms, inst.phi, p)
+        searched += 1
+        largest = math.max(largest, nE)
+        val comp = new Component(ix, compTuples, tStart(c), tStart(c + 1), compMatches, mStart(c), nE,
+          local, inst.phi, p)
+        val s0 = System.nanoTime()
         val res = comp.solve(config.nodeCap, deadline)
+        searchNs += System.nanoTime() - s0
         proved &&= res.proved
         nodes += res.nodesUsed
         totalLogProb += res.logProb
-        // Decode this component's incumbent.
-        val selected = res.selectedEdges
-        val matchedTuples = scala.collection.mutable.Set.empty[Long]
-        selected.foreach { case (l, r) => evidence += ((l, r)); matchedTuples += l; matchedTuples += r }
-        // Stars: group selected edges by hub; unbalanced → change hub impact.
-        selected.map { case (l, r) => inst.phi.hubAndLeaf(l, r) }.groupMap(_._1)(_._2).foreach {
-          case (hub, leaves) =>
-            val leafSum = leaves.iterator.map(inst.tupleById(_).impact).sum
-            val hubImp = inst.tupleById(hub).impact
-            if (Params.unbalanced(leafSum, hubImp))
-              values += hub -> ValueChange(hub, hubImp, leafSum)
+        // Decode this component's incumbent, in selection order. Stars:
+        // an unbalanced star changes its hub's impact to its leaves' sum.
+        val hubSum = new Array[Double](comp.nT)
+        val hubSeen = new Array[Boolean](comp.nT)
+        val hubs = new ArrayBuffer[Int]
+        res.selected.foreach { e =>
+          val m = compMatches(mStart(c) + e)
+          evidence += ((ix.ids(ix.left(m)), ix.ids(ix.right(m))))
+          matched(ix.left(m)) = true; matched(ix.right(m)) = true
+          val h = comp.eHub(e); val leafImpact = comp.impact(comp.eLeaf(e))
+          if (hubSeen(h)) hubSum(h) += leafImpact
+          else { hubSeen(h) = true; hubSum(h) = leafImpact; hubs += h }
         }
-        tuples.foreach(t => if (!matchedTuples.contains(t.id)) emitUnmatched(t))
+        hubs.foreach { h =>
+          val hub = ix.tuples(compTuples(tStart(c) + h))
+          if (Params.unbalanced(hubSum(h), hub.impact))
+            values += hub.id -> ValueChange(hub.id, hub.impact, hubSum(h))
+        }
+        for (k <- tStart(c) until tStart(c + 1))
+          if (!matched(compTuples(k))) emitUnmatched(ix.tuples(compTuples(k)))
       }
     }
 
     val e = ExplanationSet(delta.result(), values.result(), evidence.result())
-    Solution(e, totalLogProb, proved, nodes)
+    val searchS = searchNs / 1e9
+    val stats = SolveStats(searched, largest, nCut, splitS,
+      setupS = (System.nanoTime() - t0) / 1e9 - splitS - searchS, searchS)
+    Solution(e, totalLogProb, proved, nodes, stats)
   }
 
-  /** (left, right) order on matches, by their primitive ends. */
-  private val byEnds: Ordering[TupleMatch] = (a, b) => {
-    val c = java.lang.Long.compare(a.left, b.left)
-    if (c != 0) c else java.lang.Long.compare(a.right, b.right)
-  }
-
-  /** Whether two matches share (left, right): the matches sorted by their
-    * ends, each compared with its neighbour. Stage 1 emits them sorted, so
-    * the sort is one pass over a copy.
+  /** Whether two matches share (left, right): the matches bucketed by
+    * their left end, each bucket's right ends stamped as they are seen.
     */
-  private def hasDuplicatePair(ms: Vector[TupleMatch]): Boolean = {
-    val sorted = ms.toArray
-    sorted.sortInPlace()(byEnds)
-    var i = 1
-    while (i < sorted.length && byEnds.compare(sorted(i - 1), sorted(i)) != 0) i += 1
-    i < sorted.length
+  private def hasDuplicatePair(ix: Indexed): Boolean = {
+    val nT = ix.ids.length
+    val start = new Array[Int](nT + 1)
+    ix.left.foreach(l => start(l + 1) += 1)
+    for (i <- 0 until nT) start(i + 1) += start(i)
+    val rights = new Array[Int](ix.left.length)
+    val next = start.clone()
+    for (m <- ix.left.indices) { val l = ix.left(m); rights(next(l)) = ix.right(m); next(l) += 1 }
+    val seenBy = Array.fill(nT)(-1)
+    var l = 0
+    while (l < nT) {
+      var k = start(l)
+      while (k < start(l + 1)) {
+        val r = rights(k)
+        if (seenBy(r) == l) return true
+        seenBy(r) = l
+        k += 1
+      }
+      l += 1
+    }
+    false
   }
 
   private final case class CompResult(
       logProb: Double,
-      selectedEdges: Vector[(Long, Long)],
+      selected: Array[Int], // the incumbent's edges, in selection order
       proved: Boolean,
       nodesUsed: Long,
   )
 
-  /** Branch-and-bound over one connected component.
+  /** Branch-and-bound over one connected component: the tuples at
+    * `compTuples(tFrom until tTo)` and the `nE` matches at
+    * `compMatches(mFrom until mFrom + nE)`, both in instance order; `local`
+    * holds each tuple's index within its component.
     *
     * Each node costs what it changed, not O(|E| + |T|):
     *  - Branch order is static. An edge's branch score `eGain(e) + (b − u(leaf))`
@@ -138,60 +231,124 @@ object ExplainSolver {
     *    left to right over the leaves, the same order as a full rescan.
     *  - The depth-first search keeps an explicit stack of decided edges, so
     *    chains of any length run on the caller's thread.
+    *  - The incumbent is lazy: an improving node records only the height of
+    *    the selection stack, and the selection is copied when a backtrack is
+    *    about to pop below that height, or when the search ends. An
+    *    improving dive therefore costs O(depth), not O(depth²).
     */
   private final class Component(
-      tuples: Vector[CTuple],
-      ms: Vector[TupleMatch],
+      ix: Indexed,
+      compTuples: Array[Int],
+      tFrom: Int,
+      tTo: Int,
+      compMatches: Array[Int],
+      mFrom: Int,
+      nE: Int,
+      local: Array[Int],
       phi: Phi,
       p: Params,
   ) {
     // Leaves sit on a capped side; hubs are capped too only under ≡.
     private val hubsCapped = phi == Phi.Equiv
-    private val nT = tuples.size
-    private val idxOf = tuples.iterator.map(_.id).zipWithIndex.toMap
-    private val isHub = tuples.map(_.side == phi.hubSide).toArray
-    private val impact = tuples.map(_.impact).toArray
-    private val uCost = tuples.map(t => p.unmatchedCost(t.impact)).toArray
+    val nT: Int = tTo - tFrom
+    private val isHub = new Array[Boolean](nT)
+    val impact = new Array[Double](nT)
+    private val uCost = new Array[Double](nT)
     private val b = p.costKeep
 
-    private val nE = ms.size
-    private val eLeaf = new Array[Int](nE)
-    private val eHub = new Array[Int](nE)
+    val eLeaf = new Array[Int](nE)
+    val eHub = new Array[Int](nE)
     private val eGain = new Array[Double](nE)
-    locally {
-      var i = 0
-      while (i < nE) {
-        val m = ms(i)
-        val (hubId, leafId) = phi.hubAndLeaf(m.left, m.right)
-        eLeaf(i) = idxOf(leafId); eHub(i) = idxOf(hubId)
-        eGain(i) = math.log(m.p) - math.log(1 - m.p)
-        i += 1
+    // Each tuple's edges in ascending index order: edgesAt(edgeStart(t) until edgeStart(t + 1)).
+    private val edgeStart = new Array[Int](nT + 1)
+    private val edgesAt = new Array[Int](2 * nE)
+    // f = objective value if every undecided edge were rejected.
+    private var f = fill()
+
+    /** Fills the tuple and edge arrays and returns the initial f: the
+      * matches' log(1−p) summed, plus the tuples' unmatched costs summed.
+      * The loops sit in methods, not in the constructor, whose loops the
+      * JVM leaves interpreted.
+      */
+    private def fill(): Double = {
+      val hubSide = phi.hubSide
+      var unmatched = 0.0
+      var j = 0
+      while (j < nT) {
+        val t = ix.tuples(compTuples(tFrom + j))
+        isHub(j) = t.side == hubSide; impact(j) = t.impact; uCost(j) = p.unmatchedCost(t.impact)
+        j += 1
       }
-    }
-    private val edgesAt: Array[Array[Int]] = {
-      val bufs = Array.fill(nT)(new ArrayBuffer[Int])
-      for (e <- 0 until nE) { bufs(eLeaf(e)) += e; bufs(eHub(e)) += e }
-      bufs.map(_.toArray)
+      var rejectAll = 0.0
+      var e = 0
+      while (e < nE) {
+        val m = compMatches(mFrom + e)
+        val l = local(ix.left(m)); val r = local(ix.right(m))
+        if (hubSide == 1) { eHub(e) = l; eLeaf(e) = r } else { eHub(e) = r; eLeaf(e) = l }
+        val pm = ix.p(m)
+        eGain(e) = math.log(pm) - math.log(1 - pm)
+        rejectAll += math.log(1 - pm)
+        edgeStart(eLeaf(e) + 1) += 1; edgeStart(eHub(e) + 1) += 1
+        e += 1
+      }
+      j = 0
+      while (j < nT) { unmatched += uCost(j); edgeStart(j + 1) += edgeStart(j); j += 1 }
+      val next = edgeStart.clone()
+      e = 0
+      while (e < nE) {
+        edgesAt(next(eLeaf(e))) = e; next(eLeaf(e)) += 1
+        edgesAt(next(eHub(e))) = e; next(eHub(e)) += 1
+        e += 1
+      }
+      rejectAll + unmatched
     }
 
-    /** Edges by descending branch score, ties by ascending index. */
-    private val order: Array[Int] = {
-      val score = Array.tabulate(nE)(e => eGain(e) + (b - uCost(eLeaf(e))))
-      Array.range(0, nE).sortWith((x, y) => score(x) > score(y) || (score(x) == score(y) && x < y))
+    /** Edges by descending branch score, ties by ascending index. Scores
+      * compare with `>` and `==` (so −0.0 ties 0.0): each edge gets the
+      * rank of its score among the distinct scores, and a counting sort by
+      * descending rank keeps ascending index within a rank.
+      */
+    private val order: Array[Int] = branchOrder()
+
+    private def branchOrder(): Array[Int] = {
+      // + 0.0 turns −0.0 into 0.0, so equal scores share one rank.
+      val score = Array.tabulate(nE)(e => eGain(e) + (b - uCost(eLeaf(e))) + 0.0)
+      val sorted = score.clone()
+      java.util.Arrays.sort(sorted)
+      var nDistinct = 0
+      for (i <- 0 until nE)
+        if (nDistinct == 0 || sorted(i) != sorted(nDistinct - 1)) { sorted(nDistinct) = sorted(i); nDistinct += 1 }
+      val rank = score.map(x => nDistinct - 1 - java.util.Arrays.binarySearch(sorted, 0, nDistinct, x))
+      val start = new Array[Int](nDistinct + 1)
+      rank.foreach(r => start(r + 1) += 1)
+      for (r <- 0 until nDistinct) start(r + 1) += start(r)
+      val out = new Array[Int](nE)
+      for (e <- 0 until nE) { out(start(rank(e))) = e; start(rank(e)) += 1 }
+      out
     }
 
     // Search state.
     private val eState = new Array[Byte](nE) // 0 undecided, 1 selected, 2 rejected
-    private val selectedNow = new ArrayBuffer[Int] // currently selected edges (stack)
+    private val selectedNow = new Array[Int](nT) // currently selected edges (stack)
+    private var nSelected = 0
     private val leafSel = Array.fill(nT)(-1) // selected edge of a leaf, -1 = none
     private val hubCount = new Array[Int](nT)
     private val hubLeafSum = new Array[Double](nT)
     // Edges force-rejected by the selects on the current path (stack).
     private val forced = new Array[Int](nE)
     private var nForced = 0
-    // f = objective value if every undecided edge were rejected.
-    private var f = ms.iterator.map(m => math.log(1 - m.p)).sum +
-      tuples.indices.iterator.map(uCost).sum
+
+    // The incumbent: while `incumbentLazy`, the bottom `incumbentHeight`
+    // entries of `selectedNow`; after that, a copy of them.
+    private var incumbent = Array.emptyIntArray
+    private var incumbentHeight = 0
+    private var incumbentLazy = true
+
+    private def keepIncumbent(): Unit =
+      if (incumbentLazy) {
+        incumbent = java.util.Arrays.copyOf(selectedNow, incumbentHeight)
+        incumbentLazy = false
+      }
 
     // Bound cache: leaf-side tuples in index order, each one's optimistic
     // lift (0 once selected), and the leaves whose lift is stale.
@@ -212,19 +369,19 @@ object ExplainSolver {
     }
 
     private def markHubLeavesDirty(h: Int): Unit = {
-      val es = edgesAt(h)
-      var i = 0
-      while (i < es.length) { markDirty(eLeaf(es(i))); i += 1 }
+      var i = edgeStart(h)
+      while (i < edgeStart(h + 1)) { markDirty(eLeaf(edgesAt(i))); i += 1 }
     }
 
     private def hubTerm(h: Int): Double = p.starCost(hubCount(h), hubLeafSum(h), impact(h))
 
     private val allNonNeg = impact.forall(_ >= 0.0)
 
-    private def forceReject(es: Array[Int]): Unit = {
-      var i = 0
-      while (i < es.length) {
-        val o = es(i)
+    /** Force-rejects tuple t's undecided edges. */
+    private def forceReject(t: Int): Unit = {
+      var i = edgeStart(t)
+      while (i < edgeStart(t + 1)) {
+        val o = edgesAt(i)
         if (eState(o) == 0) { eState(o) = 2; forced(nForced) = o; nForced += 1 }
         i += 1
       }
@@ -237,24 +394,26 @@ object ExplainSolver {
       f -= uCost(l) // leaf joins a star; its b is inside hubTerm's count
       f -= hubTerm(h)
       eState(e) = 1
-      selectedNow += e
+      selectedNow(nSelected) = e; nSelected += 1
       leafSel(l) = e
       hubCount(h) += 1
       hubLeafSum(h) += impact(l)
       f += hubTerm(h)
-      forceReject(edgesAt(l))
-      if (hubsCapped) forceReject(edgesAt(h))
+      forceReject(l)
+      if (hubsCapped) forceReject(h)
       markHubLeavesDirty(h) // l is among them
     }
 
     /** Reverts `select(e)`: un-rejects the edges forced since stack height
-      * `forcedFrom` and restores f to `fBefore`.
+      * `forcedFrom` and restores f to `fBefore`. A lazy incumbent that
+      * holds e is copied first.
       */
     private def undoSelect(e: Int, forcedFrom: Int, fBefore: Double): Unit = {
       val l = eLeaf(e); val h = eHub(e)
       while (nForced > forcedFrom) { nForced -= 1; eState(forced(nForced)) = 0 }
       eState(e) = 0
-      selectedNow.dropRightInPlace(1)
+      if (nSelected == incumbentHeight) keepIncumbent()
+      nSelected -= 1
       leafSel(l) = -1
       hubCount(h) -= 1
       hubLeafSum(h) -= impact(l)
@@ -274,10 +433,9 @@ object ExplainSolver {
     private def leafLiftOf(l: Int): Double = {
       var bestE = 0.0
       if (leafSel(l) < 0) {
-        val es = edgesAt(l)
-        var i = 0
-        while (i < es.length) {
-          val e = es(i)
+        var i = edgeStart(l)
+        while (i < edgeStart(l + 1)) {
+          val e = edgesAt(i)
           if (eState(e) == 0) {
             val h = eHub(e)
             if (!hubsCapped || hubCount(h) == 0) {
@@ -338,14 +496,8 @@ object ExplainSolver {
 
     def solve(nodeCap: Long, deadline: Long): CompResult = {
       var bestF = Double.NegativeInfinity
-      var bestSel: Vector[(Long, Long)] = Vector.empty
       var nodes = 0L
       var capped = false
-
-      // O(|selection|), not O(|E|): incumbents improve on every select of
-      // the initial dive, so a full edge scan here dominates large solves.
-      def snapshot(): Vector[(Long, Long)] =
-        selectedNow.iterator.map { e => val m = ms(e); (m.left, m.right) }.toVector
 
       /** Enters a node; returns the `order` position of its branch edge, or
         * -1 when the node is pruned, exhausted or over budget.
@@ -354,7 +506,7 @@ object ExplainSolver {
         nodes += 1
         // Record the incumbent before budget checks so a capped component
         // still returns its best completion (never -inf).
-        if (f > bestF + 1e-12) { bestF = f; bestSel = snapshot() }
+        if (f > bestF + 1e-12) { bestF = f; incumbentHeight = nSelected; incumbentLazy = true }
         if (nodes > nodeCap || (nodes % 256 == 0 && System.nanoTime() > deadline)) {
           capped = true
           -1
@@ -396,7 +548,8 @@ object ExplainSolver {
           }
         }
       }
-      CompResult(bestF, bestSel, proved = !capped, nodesUsed = nodes)
+      keepIncumbent()
+      CompResult(bestF, incumbent, proved = !capped, nodesUsed = nodes)
     }
   }
 }

@@ -149,16 +149,55 @@ object Model {
     def explanationTupleIds: Set[Long] = delta ++ values.keySet
   }
 
+  /** Where a stage-2 solve spent its effort.
+    *
+    * @param components   components searched (those with at least one match)
+    * @param largestComponent the largest searched component's match count
+    * @param cutMatches   matches cut by the grouping (0 for NOOPT)
+    * @param splitS       seconds computing the grouping (smart partitioning)
+    * @param setupS       seconds indexing, splitting into components,
+    *                     setting up the searches and decoding
+    * @param searchS      seconds in branch-and-bound
+    */
+  final case class SolveStats(
+      components: Int = 0,
+      largestComponent: Int = 0,
+      cutMatches: Int = 0,
+      splitS: Double = 0.0,
+      setupS: Double = 0.0,
+      searchS: Double = 0.0,
+  ) {
+    override def toString: String =
+      f"$components components (largest $largestComponent matches), $cutMatches cut; " +
+        f"split $splitS%.3fs, set-up $setupS%.3fs, search $searchS%.3fs"
+  }
+
+  object SolveStats {
+    /** The mean of each field (counts rounded down), but the largest
+      * component's maximum.
+      */
+    def mean(ss: Seq[SolveStats]): SolveStats = SolveStats(
+      ss.map(_.components).sum / ss.size,
+      ss.map(_.largestComponent).max,
+      ss.map(_.cutMatches).sum / ss.size,
+      ss.map(_.splitS).sum / ss.size,
+      ss.map(_.setupS).sum / ss.size,
+      ss.map(_.searchS).sum / ss.size,
+    )
+  }
+
   /** Result of a solver run: the explanations, their score under the
     * objective of Problem 1 (log space), and whether the search completed
     * (false when a node/time cap returned the best incumbent). `nodes` is
     * the number of branch-and-bound nodes, summed over components (0 for
-    * solutions that did not come from a search).
+    * solutions that did not come from a search), and `stats` says where
+    * the solve's time went.
     */
   final case class Solution(
       explanations: ExplanationSet,
       logProb: Double,
       proved: Boolean,
       nodes: Long = 0L,
+      stats: SolveStats = SolveStats(),
   )
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.core.Model._
+import scala.collection.mutable
 
 /** The objective function of Problem 1 in closed form (Eqs. 1–6), plus the
   * completeness checker (Def. 3.4: valid mapping + impact equality).
@@ -87,23 +88,50 @@ object Scoring {
     None
   }
 
-  /** Union-find over tuple ids, used for component extraction and
-    * pre-partitioning. `union(a, b)` links a's root under b's, so roots
-    * (which order `PrePartition`'s coarse nodes) depend on that rule.
+  /** Union-find over tuple positions: position `i` stands for `ids(i)`.
+    * `link(a, b)` (and `union` by id) puts a's root under b's, so the roots,
+    * which order `PrePartition`'s coarse nodes and the solver's components,
+    * depend on that rule; path compression never changes a root.
     */
-  final class UnionFind(ids: Iterable[Long]) {
-    private val parent = scala.collection.mutable.Map.empty[Long, Long]
-    ids.foreach(id => parent(id) = id)
-    def find(x: Long): Long = {
+  final class UnionFind(ids: Array[Long]) {
+    def this(ids: Iterable[Long]) = this(ids.toArray)
+    private val parent = Array.range(0, ids.length)
+    private lazy val pos = positions(ids)
+
+    /** The root position of position `x`. */
+    def root(x: Int): Int = {
       var r = x
       while (parent(r) != r) r = parent(r)
       var c = x
       while (parent(c) != r) { val n = parent(c); parent(c) = r; c = n }
       r
     }
-    def union(a: Long, b: Long): Unit = {
-      val ra = find(a); val rb = find(b)
+    def link(a: Int, b: Int): Unit = {
+      val ra = root(a); val rb = root(b)
       if (ra != rb) parent(ra) = rb
     }
+    def find(id: Long): Long = ids(root(pos(id)))
+    def union(a: Long, b: Long): Unit = link(pos(a), pos(b))
+
+    /** The number of classes, and each position's class: classes are
+      * numbered in the order of their roots' ids.
+      */
+    def classes(): (Int, Array[Int]) = {
+      val rootOf = Array.tabulate(ids.length)(root)
+      val rootIds = ids.indices.iterator.filter(i => rootOf(i) == i).map(ids).toArray
+      java.util.Arrays.sort(rootIds)
+      val cls = new Array[Int](ids.length)
+      for (i <- ids.indices if rootOf(i) == i) cls(i) = java.util.Arrays.binarySearch(rootIds, ids(i))
+      for (i <- ids.indices) cls(i) = cls(rootOf(i))
+      (rootIds.length, cls)
+    }
+  }
+
+  /** Each id's position in `ids` (the last one, if an id repeats). */
+  def positions(ids: Array[Long]): mutable.LongMap[Int] = {
+    val pos = new mutable.LongMap[Int](ids.length)
+    var i = 0
+    while (i < ids.length) { pos.update(ids(i), i); i += 1 }
+    pos
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.baselines._
 import repro.core.{ExplainSolver, Pipeline, Summarize}
-import repro.core.Model.Phi
+import repro.core.Model.{Phi, SolveStats}
 import repro.core.Similarity.KeyAttr
 import repro.data._
 
@@ -129,7 +129,8 @@ object Experiments {
 
   final case class SyntheticPoint(
       n: Int, d: Double, v: Int,
-      algorithm: String, solveMillis: Long, explF1: Double, evidF1: Double, proved: Boolean)
+      algorithm: String, solveMillis: Long, explF1: Double, evidF1: Double, proved: Boolean,
+      stats: SolveStats = SolveStats())
 
   /** One Fig-8 measurement: solve time (match generation excluded, as in the
     * paper) of NOOPT and the given batch sizes on one generator setting,
@@ -149,16 +150,19 @@ object Experiments {
       batchSizes.map(b => s"BATCH-$b" -> Explain3DBatch(b, solverCfg))
     algos.map { case (nm, algo) =>
       val r = Harness.run(algo, pair, nm)
-      SyntheticPoint(cfg.n, cfg.d, cfg.v, nm, r.solveMillis, r.explanation.f1, r.evidence.f1, r.proved)
+      SyntheticPoint(cfg.n, cfg.d, cfg.v, nm, r.solveMillis, r.explanation.f1, r.evidence.f1, r.proved,
+        r.stats.getOrElse(SolveStats()))
     }
   }
 
-  /** One line per point; a capped or timed-out solve is marked UNPROVED. */
+  /** One line per point, with its solve stats; a capped or timed-out
+    * solve is marked UNPROVED at the end.
+    */
   def renderSynthetic(points: Seq[SyntheticPoint]): String =
     points.map { p =>
       f"n=${p.n}%-6d d=${p.d}%.1f v=${p.v}%-6d ${p.algorithm}%-12s " +
         f"solve=${p.solveMillis}%6dms  explF1=${p.explF1}%.3f evidF1=${p.evidF1}%.3f" +
-        (if (p.proved) "" else "  UNPROVED")
+        s"  [${p.stats}]" + (if (p.proved) "" else "  UNPROVED")
     }.mkString("\n")
 
   // ---------------------------------------------------------------- Fig 4

@@ -2,6 +2,7 @@ package repro.eval
 
 import repro.baselines.{Algorithm, SolverBacked}
 import repro.core.Scoring
+import repro.core.Model.SolveStats
 import repro.core.Pipeline.PreparedPair
 import repro.eval.Metrics.PRF
 
@@ -20,11 +21,14 @@ object Harness {
       evidence: PRF,
       solveMillis: Long,
       proved: Boolean = true,
+      stats: Option[SolveStats] = None,
   ) {
-    /** A capped or timed-out solve is marked UNPROVED. */
+    /** A solver-backed row shows its solve stats; a capped or timed-out
+      * solve is marked UNPROVED at the end.
+      */
     def row: String =
       f"$pair%-12s $algorithm%-22s  expl[$explanation]  evid[$evidence]  ${solveMillis}ms" +
-        (if (proved) "" else "  UNPROVED")
+        stats.fold("")(s => s"  [$s]") + (if (proved) "" else "  UNPROVED")
   }
 
   /** Runs `algo` on the pair. Only a solver-backed algorithm can be
@@ -35,11 +39,11 @@ object Harness {
     */
   def run(algo: Algorithm, pair: PreparedPair, pairName: String): AlgoResult = {
     val t0 = System.nanoTime()
-    val (e, proved) = algo match {
+    val (e, proved, stats) = algo match {
       case s: SolverBacked =>
         val sol = s.solve(pair.inst)
-        (sol.explanations, sol.proved)
-      case _ => (algo.derive(pair.inst), true)
+        (sol.explanations, sol.proved, Some(sol.stats))
+      case _ => (algo.derive(pair.inst), true, None)
     }
     val ms = (System.nanoTime() - t0) / 1000000
     if (algo.isInstanceOf[SolverBacked])
@@ -48,7 +52,7 @@ object Harness {
       }
     val expl = Metrics.prf(Metrics.explanationItems(e, pair.keyOf), pair.gold.explanations)
     val evid = Metrics.prf(Metrics.evidenceItems(e, pair.keyOf), pair.gold.evidence)
-    AlgoResult(algo.name, pairName, expl, evid, ms, proved)
+    AlgoResult(algo.name, pairName, expl, evid, ms, proved, stats)
   }
 
   /** Arithmetic mean of results across pairs (used for the IMDb templates,
@@ -61,6 +65,7 @@ object Harness {
       rs.map(f(_).f1).sum / rs.size,
     )
     AlgoResult(rs.head.algorithm, name, avgPrf(_.explanation), avgPrf(_.evidence),
-      rs.map(_.solveMillis).sum / rs.size, rs.forall(_.proved))
+      rs.map(_.solveMillis).sum / rs.size, rs.forall(_.proved),
+      if (rs.forall(_.stats.nonEmpty)) Some(SolveStats.mean(rs.flatMap(_.stats))) else None)
   }
 }

@@ -1,8 +1,8 @@
 package repro.partition
 
-import repro.core.Model.{Instance, TupleMatch}
+import repro.core.ExplainSolver.Indexed
+import repro.core.Model.Instance
 import repro.core.Scoring
-import scala.collection.mutable
 
 /** Pre-partitioning (Algorithm 2): merge tuples connected by
   * high-probability matches (p ≥ θ_h) into coarse nodes, then aggregate the
@@ -11,6 +11,9 @@ import scala.collection.mutable
   * the extra coarsening level on top of the multilevel partitioner that
   * makes large-R instances cheap to partition and guarantees the partitioner
   * never cuts a high-probability match.
+  *
+  * Linear in |T| + |M|: a union-find over tuple positions, and the edges
+  * aggregated per coarse node pair with one stamp array instead of a map.
   */
 object PrePartition {
 
@@ -25,37 +28,70 @@ object PrePartition {
     def size: Int = members.size
   }
 
+  /** The coarse graph.
+    *
+    * @param nodes  coarse nodes in the order of their union-find roots' ids,
+    *               members in `tupleById` order
+    * @param nodeOf each tuple position's coarse node (positions as in
+    *               [[repro.core.ExplainSolver.Indexed]])
+    * @param edgeA  edge `e` joins nodes `edgeA(e) < edgeB(e)` with weight
+    *               `edgeW(e)`, summed over its matches in match order; one
+    *               edge per node pair, ordered by `edgeA` and then by first
+    *               match
+    */
   final case class CoarseGraph(
       nodes: Vector[CoarseNode],
-      edges: Map[(Int, Int), Double], // (minNode, maxNode) -> aggregated weight
-      nodeOf: Map[Long, Int],         // tuple id -> coarse node index
+      nodeOf: Array[Int],
+      edgeA: Array[Int],
+      edgeB: Array[Int],
+      edgeW: Array[Double],
   )
 
-  def run(inst: Instance, cfg: Config = Config()): CoarseGraph =
-    run(inst.tupleById.keys.toVector, inst.matches, cfg)
+  def run(inst: Instance, cfg: Config = Config()): CoarseGraph = run(new Indexed(inst), cfg)
 
-  def run(tupleIds: Vector[Long], matches: Vector[TupleMatch], cfg: Config): CoarseGraph = {
+  private[partition] def run(ix: Indexed, cfg: Config): CoarseGraph = {
+    val nT = ix.ids.length
+    val nM = ix.p.length
     // Union-find merge over high-probability matches (FindHighProbTuplesDFS
     // in the paper — union-find is the iterative equivalent). Coarse nodes
     // are ordered by root id, so the roots fix the partitioner's tie breaks.
-    val uf = new Scoring.UnionFind(tupleIds)
-    matches.foreach(m => if (m.p >= cfg.thetaH) uf.union(m.left, m.right))
+    val uf = new Scoring.UnionFind(ix.ids)
+    for (m <- 0 until nM if ix.p(m) >= cfg.thetaH) uf.link(ix.left(m), ix.right(m))
+    val (n, nodeOf) = uf.classes()
+    val members = Array.fill(n)(Vector.newBuilder[Long])
+    for (i <- 0 until nT) members(nodeOf(i)) += ix.ids(i)
 
-    val roots = tupleIds.map(uf.find).distinct.sorted
-    val nodeIdx = roots.zipWithIndex.toMap
-    val members = Array.fill(roots.size)(Vector.newBuilder[Long])
-    tupleIds.foreach(id => members(nodeIdx(uf.find(id))) += id)
-    val nodeOf = tupleIds.iterator.map(id => id -> nodeIdx(uf.find(id))).toMap
-
-    // Aggregate edge weights between distinct coarse nodes.
-    val edges = mutable.Map.empty[(Int, Int), Double]
-    matches.foreach { m =>
-      val a = nodeOf(m.left); val b = nodeOf(m.right)
-      if (a != b) {
-        val key = if (a < b) (a, b) else (b, a)
-        edges(key) = edges.getOrElse(key, 0.0) + cfg.weight(m.p)
+    // Matches between distinct nodes, bucketed by their lower node in match
+    // order; within a bucket, `slot(b)` is node b's edge while `mark(b)`
+    // names the bucket.
+    val start = new Array[Int](n + 1)
+    for (m <- 0 until nM) {
+      val a = nodeOf(ix.left(m)); val b = nodeOf(ix.right(m))
+      if (a != b) start(math.min(a, b) + 1) += 1
+    }
+    for (v <- 0 until n) start(v + 1) += start(v)
+    val byLower = new Array[Int](start(n))
+    locally {
+      val next = start.clone()
+      for (m <- 0 until nM) {
+        val a = nodeOf(ix.left(m)); val b = nodeOf(ix.right(m))
+        if (a != b) { val lo = math.min(a, b); byLower(next(lo)) = m; next(lo) += 1 }
       }
     }
-    CoarseGraph(members.map(b => CoarseNode(b.result())).toVector, edges.toMap, nodeOf)
+    val edgeA = new Array[Int](byLower.length)
+    val edgeB = new Array[Int](byLower.length)
+    val edgeW = new Array[Double](byLower.length)
+    val mark = Array.fill(n)(-1)
+    val slot = new Array[Int](n)
+    var nE = 0
+    for (a <- 0 until n; k <- start(a) until start(a + 1)) {
+      val m = byLower(k)
+      val b = nodeOf(ix.left(m)) + nodeOf(ix.right(m)) - a
+      val w = cfg.weight(ix.p(m))
+      if (mark(b) == a) edgeW(slot(b)) += w
+      else { mark(b) = a; slot(b) = nE; edgeA(nE) = a; edgeB(nE) = b; edgeW(nE) = w; nE += 1 }
+    }
+    CoarseGraph(members.iterator.map(b => CoarseNode(b.result())).toVector, nodeOf,
+      edgeA.take(nE), edgeB.take(nE), edgeW.take(nE))
   }
 }

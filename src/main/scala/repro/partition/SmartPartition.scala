@@ -26,23 +26,25 @@ object SmartPartition {
       cutMatches: Vector[TupleMatch],
   )
 
-  /** The partition of every tuple of `inst`, into parts of ≈`batchSize`
+  /** The part of every tuple position of `ix`, into parts of ≈`batchSize`
     * tuples each (`k = ⌈(|T1|+|T2|)/batch⌉`, `L_max = batch`, as in
     * Section 5.3).
     */
-  private def partOf(inst: Instance, cfg: Config): Map[Long, Int] = {
-    val coarse = PrePartition.run(inst, cfg.pre)
-    val total = inst.t1.size + inst.t2.size
+  private def partOf(ix: ExplainSolver.Indexed, cfg: Config): Array[Int] = {
+    val coarse = PrePartition.run(ix, cfg.pre)
+    val total = ix.ids.length
     val k = math.max(1, math.ceil(total.toDouble / cfg.batchSize).toInt)
     val assign = Partitioner.partition(coarse, k, cfg.batchSize)
-    coarse.nodeOf.map { case (id, node) => id -> assign(node) }
+    coarse.nodeOf.map(assign)
   }
 
   /** Splits `inst` into one sub-instance per non-empty part, in part order,
     * and the matches cut between parts.
     */
   def split(inst: Instance, cfg: Config): Partitioned = {
-    val part = partOf(inst, cfg)
+    val ix = new ExplainSolver.Indexed(inst)
+    val partAt = partOf(ix, cfg)
+    def part(id: Long): Int = partAt(ix.pos(id))
     val t1ByPart = inst.t1.groupBy(t => part(t.id))
     val t2ByPart = inst.t2.groupBy(t => part(t.id))
     val (inside, cut) = inst.matches.partition(m => part(m.left) == part(m.right))
@@ -61,8 +63,13 @@ object SmartPartition {
   }
 
   /** Partitioned stage-2 solve: one exact solve with every cross-part match
-    * cut.
+    * cut. Its [[SolveStats]] count the partitioning as split time.
     */
-  def solve(inst: Instance, cfg: Config, solverCfg: ExplainSolver.Config): Solution =
-    ExplainSolver.solve(inst, solverCfg, partOf(inst, cfg))
+  def solve(inst: Instance, cfg: Config, solverCfg: ExplainSolver.Config): Solution = {
+    val t0 = System.nanoTime()
+    val ix = new ExplainSolver.Indexed(inst)
+    val t1 = System.nanoTime()
+    val group = partOf(ix, cfg)
+    ExplainSolver.solve(ix, solverCfg, group, t0, splitS = (System.nanoTime() - t1) / 1e9)
+  }
 }

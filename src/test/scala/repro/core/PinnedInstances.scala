@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.core.Model._
-import repro.partition.{PrePartition, SmartPartition}
+import repro.partition.{MapPrePartition, PrePartition, SmartPartition}
 
 /** Seeded random instances and exact digests of what stage 2 derives from
   * them, for pinning baseline and partition results across refactors.
@@ -52,10 +52,22 @@ object PinnedInstances {
     * edges with their weights, and the tuple → node map.
     */
   def coarse(g: PrePartition.CoarseGraph): String =
+    coarse(g.nodes.map(_.members), g.edgeA.indices.map(e => ((g.edgeA(e), g.edgeB(e)), g.edgeW(e))))
+
+  /** [[coarse]] of the map-based oracle's graph. */
+  def coarse(g: MapPrePartition.CoarseGraph): String = {
+    val fromNodeOf = g.nodeOf.toSeq.sorted
+    val fromMembers = g.nodes.zipWithIndex.flatMap { case (c, k) => c.members.map(_ -> k) }.sorted
+    require(fromNodeOf == fromMembers, "nodeOf disagrees with the node members")
+    coarse(g.nodes.map(_.members), g.edges.toSeq)
+  }
+
+  private def coarse(members: Seq[Seq[Long]], edges: Seq[((Int, Int), Double)]): String =
     Stage1Digest.sha(
-      g.nodes.iterator.map(_.members.mkString("n", ",", "")) ++
-        g.edges.toSeq.sortBy(_._1).iterator.map { case ((a, b), w) => s"w$a,$b,${Stage1Digest.bits(w)}" } ++
-        g.nodeOf.toSeq.sorted.iterator.map { case (id, node) => s"o$id,$node" })
+      members.iterator.map(_.mkString("n", ",", "")) ++
+        edges.sortBy(_._1).iterator.map { case ((a, b), w) => s"w$a,$b,${Stage1Digest.bits(w)}" } ++
+        members.zipWithIndex.flatMap { case (ms, k) => ms.map(_ -> k) }.sorted.iterator
+          .map { case (id, node) => s"o$id,$node" })
 
   /** Sub-instances in order (tuples and matches in order), then the cut matches. */
   def split(p: SmartPartition.Partitioned): String =

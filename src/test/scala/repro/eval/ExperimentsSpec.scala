@@ -1,6 +1,7 @@
 package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Model.SolveStats
 import repro.core.Pipeline.PairStats
 import repro.eval.Metrics.PRF
 
@@ -48,23 +49,41 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(m == PairStats(10, 20, 30, 41, 9, 3, 2, 1, 1, 3, 4, 5))
   }
 
+  private val nooptStats = SolveStats(1, 4000, 0, 0.0, 0.012, 0.25)
+  private val batchStats = SolveStats(37, 310, 96, 0.041, 0.008, 0.0312)
+
   test("renderSynthetic formats one line per point") {
     val pts = Seq(
-      Experiments.SyntheticPoint(100, 0.2, 1000, "NOOPT", 12, 1.0, 1.0, proved = true),
-      Experiments.SyntheticPoint(100, 0.2, 1000, "BATCH-100", 5, 0.99, 1.0, proved = true))
+      Experiments.SyntheticPoint(100, 0.2, 1000, "NOOPT", 12, 1.0, 1.0, proved = true, nooptStats),
+      Experiments.SyntheticPoint(100, 0.2, 1000, "BATCH-100", 5, 0.99, 1.0, proved = true, batchStats))
     val s = Experiments.renderSynthetic(pts)
     assert(s.linesIterator.size == 2)
     assert(s.contains("NOOPT") && s.contains("BATCH-100"))
     assert(!s.contains("UNPROVED"))
+    assert(s.linesIterator.toSeq(1).endsWith(
+      "[37 components (largest 310 matches), 96 cut; split 0.041s, set-up 0.008s, search 0.031s]"))
   }
 
   test("renderSynthetic marks unproved points") {
     val pts = Seq(
-      Experiments.SyntheticPoint(5000, 0.2, 1000, "NOOPT", 90000, 0.9, 0.9, proved = false),
-      Experiments.SyntheticPoint(5000, 0.2, 1000, "BATCH-100", 800, 1.0, 1.0, proved = true))
+      Experiments.SyntheticPoint(5000, 0.2, 1000, "NOOPT", 90000, 0.9, 0.9, proved = false, nooptStats),
+      Experiments.SyntheticPoint(5000, 0.2, 1000, "BATCH-100", 800, 1.0, 1.0, proved = true, batchStats))
     val lines = Experiments.renderSynthetic(pts).linesIterator.toSeq
-    assert(lines(0).contains("NOOPT") && lines(0).endsWith("UNPROVED"))
+    assert(lines(0).contains("NOOPT") && lines(0).endsWith(
+      "  [1 components (largest 4000 matches), 0 cut; split 0.000s, set-up 0.012s, search 0.250s]  UNPROVED"))
     assert(!lines(1).contains("UNPROVED"))
+  }
+
+  test("a solver-backed row ends with its solve stats, and averaged rows average them") {
+    val a = Harness.AlgoResult("ALGO", "p1", PRF(1, 1, 1), PRF(1, 1, 1), 7, proved = false, Some(batchStats))
+    assert(a.row.endsWith("  [37 components (largest 310 matches), 96 cut; " +
+      "split 0.041s, set-up 0.008s, search 0.031s]  UNPROVED"), a.row)
+    val b = a.copy(pair = "p2", stats = Some(SolveStats(4, 20, 3, 0.001, 0.002, 0.0025)))
+    val m = Harness.average("t", Seq(a, b)).stats.get
+    assert((m.components, m.largestComponent, m.cutMatches) == ((20, 310, 49)))
+    assert(math.abs(m.splitS - 0.021) < 1e-12 && math.abs(m.setupS - 0.005) < 1e-12 &&
+      math.abs(m.searchS - 0.01685) < 1e-12)
+    assert(Harness.average("t", Seq(a, b.copy(stats = None))).stats.isEmpty)
   }
 
   test("AlgoResult row is aligned and complete") {

@@ -25,8 +25,8 @@ class PartitionSpec extends AnyFunSuite {
     assert(g.nodes.forall(_.size == 2))
     // Only the 9 weak cross edges remain, at weight p/R (p ≤ θ_l is false
     // for 0.3, so weight = p).
-    assert(g.edges.size == 9)
-    g.edges.values.foreach(w => assert(math.abs(w - 0.3) < 1e-12))
+    assert(g.edgeA.length == 9)
+    g.edgeW.foreach(w => assert(math.abs(w - 0.3) < 1e-12))
   }
 
   test("pre-partition weight scheme rewards/penalizes per the paper") {
@@ -42,7 +42,7 @@ class PartitionSpec extends AnyFunSuite {
     val ms = Vector(TupleMatch(0, 10, 0.95), TupleMatch(1, 10, 0.92))
     val g = PrePartition.run(Instance(t1, t2, ms, Phi.LessGeneral, params), PrePartition.Config())
     assert(g.nodes.size == 1 && g.nodes.head.size == 3)
-    assert(g.edges.isEmpty)
+    assert(g.edgeA.isEmpty)
   }
 
   test("partitioner respects L_max and assigns every node") {
@@ -134,6 +134,28 @@ class PartitionSpec extends AnyFunSuite {
       val inst = PinnedInstances.instance(i, 150, 0.02)
       assert(PinnedInstances.coarse(PrePartition.run(inst, cfg.pre)) == coarse, s"case $i: pre-partition")
       assert(PinnedInstances.split(SmartPartition.split(inst, cfg)) == split, s"case $i: split")
+    }
+  }
+
+  test("pinned BATCH-100 pre-partition and split on seeded 1000x1000 instances") {
+    // Recorded from the map-based pre-partition and partitioner. At density
+    // 0.04 the high-probability matches merge every tuple into one coarse
+    // node; at 0.002 the partitioner makes about 500 parts.
+    val expected = Seq(
+      // (density, case, PrePartition.run digest, SmartPartition.split digest)
+      (0.04, 0, "4dd747a44b46603b", "9ad297f147368368"),
+      (0.04, 1, "4dd747a44b46603b", "918579af55bcb5f0"),
+      (0.04, 2, "4dd747a44b46603b", "63c6f8660219fdec"),
+      (0.002, 0, "76a1dc9f42b79d00", "79149f8d933b47f6"),
+      (0.002, 1, "f896cd62f5b28843", "de8e2b4a3c6685dd"),
+      (0.002, 2, "f44e27f70d0f4d22", "7ba8510c0d8734ef"),
+    )
+    val cfg = SmartPartition.Config(batchSize = 100)
+    for ((density, i, coarse, split) <- expected) {
+      val inst = PinnedInstances.instance(i, 1000, density)
+      val at = s"density $density case $i"
+      assert(PinnedInstances.coarse(PrePartition.run(inst, cfg.pre)) == coarse, s"$at: pre-partition")
+      assert(PinnedInstances.split(SmartPartition.split(inst, cfg)) == split, s"$at: split")
     }
   }
 

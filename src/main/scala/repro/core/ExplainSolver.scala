@@ -71,9 +71,9 @@ object ExplainSolver {
     * seconds went to computing `group`.
     *
     * Everything before the search is linear in |T| + |M|: one union-find
-    * over positions, components and their matches bucketed by counting sort
-    * (components by root id, tuples and matches in instance order), and
-    * each cut match's log(1−p) summed first, in match order.
+    * over positions, the tuples and kept matches grouped by component in
+    * two [[Buckets]] (components by root id, tuples and matches in instance
+    * order), and each cut match's log(1−p) summed first, in match order.
     */
   private[repro] def solve(ix: Indexed, config: Config, group: Array[Int], t0: Long, splitS: Double): Solution = {
     require(
@@ -95,26 +95,9 @@ object ExplainSolver {
       else { totalLogProb += math.log(1 - ix.p(m)); nCut += 1 }
     }
     val (nComp, compOf) = uf.classes()
-    val tStart = new Array[Int](nComp + 1)
-    val mStart = new Array[Int](nComp + 1)
-    for (i <- 0 until nT) tStart(compOf(i) + 1) += 1
-    for (m <- 0 until nM if kept(m)) mStart(compOf(ix.left(m)) + 1) += 1
-    for (c <- 0 until nComp) { tStart(c + 1) += tStart(c); mStart(c + 1) += mStart(c) }
-    val compTuples = new Array[Int](nT)
-    val local = new Array[Int](nT) // a tuple's index within its component
-    val compMatches = new Array[Int](mStart(nComp))
-    locally {
-      val next = tStart.clone()
-      for (i <- 0 until nT) {
-        val c = compOf(i)
-        compTuples(next(c)) = i; local(i) = next(c) - tStart(c); next(c) += 1
-      }
-      System.arraycopy(mStart, 0, next, 0, nComp + 1)
-      for (m <- 0 until nM if kept(m)) {
-        val c = compOf(ix.left(m))
-        compMatches(next(c)) = m; next(c) += 1
-      }
-    }
+    val tuples = Buckets(nComp, compOf)
+    val matches = Buckets(nComp, Array.tabulate(nM)(m => if (kept(m)) compOf(ix.left(m)) else -1))
+    val local = new Array[Int](nT) // a tuple's index within its component, set by each Component
 
     var proved = true
     var nodes = 0L
@@ -132,18 +115,17 @@ object ExplainSolver {
       else if (t.impact != 0.0) values += t.id -> ValueChange(t.id, t.impact, 0.0)
 
     for (c <- 0 until nComp) {
-      val nE = mStart(c + 1) - mStart(c)
+      val nE = matches.start(c + 1) - matches.start(c)
       if (nE == 0) {
         // Singleton (or matchless) tuples: closed form.
-        for (k <- tStart(c) until tStart(c + 1)) {
-          val t = ix.tuples(compTuples(k))
+        for (k <- tuples.start(c) until tuples.start(c + 1)) {
+          val t = ix.tuples(tuples.entry(k))
           totalLogProb += p.unmatchedCost(t.impact); emitUnmatched(t)
         }
       } else {
         searched += 1
         largest = math.max(largest, nE)
-        val comp = new Component(ix, compTuples, tStart(c), tStart(c + 1), compMatches, mStart(c), nE,
-          local, inst.phi, p)
+        val comp = new Component(ix, tuples, matches, c, local, inst.phi, p)
         val s0 = System.nanoTime()
         val res = comp.solve(config.nodeCap, deadline)
         searchNs += System.nanoTime() - s0
@@ -156,7 +138,7 @@ object ExplainSolver {
         val hubSeen = new Array[Boolean](comp.nT)
         val hubs = new ArrayBuffer[Int]
         res.selected.foreach { e =>
-          val m = compMatches(mStart(c) + e)
+          val m = comp.matchAt(e)
           evidence += ((ix.ids(ix.left(m)), ix.ids(ix.right(m))))
           matched(ix.left(m)) = true; matched(ix.right(m)) = true
           val h = comp.eHub(e); val leafImpact = comp.impact(comp.eLeaf(e))
@@ -164,12 +146,12 @@ object ExplainSolver {
           else { hubSeen(h) = true; hubSum(h) = leafImpact; hubs += h }
         }
         hubs.foreach { h =>
-          val hub = ix.tuples(compTuples(tStart(c) + h))
+          val hub = ix.tuples(comp.tupleAt(h))
           if (Params.unbalanced(hubSum(h), hub.impact))
             values += hub.id -> ValueChange(hub.id, hub.impact, hubSum(h))
         }
-        for (k <- tStart(c) until tStart(c + 1))
-          if (!matched(compTuples(k))) emitUnmatched(ix.tuples(compTuples(k)))
+        for (j <- 0 until comp.nT)
+          if (!matched(comp.tupleAt(j))) emitUnmatched(ix.tuples(comp.tupleAt(j)))
       }
     }
 
@@ -185,18 +167,13 @@ object ExplainSolver {
     */
   private def hasDuplicatePair(ix: Indexed): Boolean = {
     val nT = ix.ids.length
-    val start = new Array[Int](nT + 1)
-    ix.left.foreach(l => start(l + 1) += 1)
-    for (i <- 0 until nT) start(i + 1) += start(i)
-    val rights = new Array[Int](ix.left.length)
-    val next = start.clone()
-    for (m <- ix.left.indices) { val l = ix.left(m); rights(next(l)) = ix.right(m); next(l) += 1 }
+    val byLeft = Buckets(nT, ix.left)
     val seenBy = Array.fill(nT)(-1)
     var l = 0
     while (l < nT) {
-      var k = start(l)
-      while (k < start(l + 1)) {
-        val r = rights(k)
+      var k = byLeft.start(l)
+      while (k < byLeft.start(l + 1)) {
+        val r = ix.right(byLeft.entry(k))
         if (seenBy(r) == l) return true
         seenBy(r) = l
         k += 1
@@ -213,10 +190,10 @@ object ExplainSolver {
       nodesUsed: Long,
   )
 
-  /** Branch-and-bound over one connected component: the tuples at
-    * `compTuples(tFrom until tTo)` and the `nE` matches at
-    * `compMatches(mFrom until mFrom + nE)`, both in instance order; `local`
-    * holds each tuple's index within its component.
+  /** Branch-and-bound over connected component `c`: its tuples and matches
+    * are bucket `c` of `tuples` and of `matches`, both in instance order.
+    * `fill` writes each of its tuples' index within the component into the
+    * shared array `local`.
     *
     * Each node costs what it changed, not O(|E| + |T|):
     *  - Branch order is static. An edge's branch score `eGain(e) + (b − u(leaf))`
@@ -238,19 +215,22 @@ object ExplainSolver {
     */
   private final class Component(
       ix: Indexed,
-      compTuples: Array[Int],
-      tFrom: Int,
-      tTo: Int,
-      compMatches: Array[Int],
-      mFrom: Int,
-      nE: Int,
+      tuples: Buckets,
+      matches: Buckets,
+      c: Int,
       local: Array[Int],
       phi: Phi,
       p: Params,
   ) {
     // Leaves sit on a capped side; hubs are capped too only under ≡.
     private val hubsCapped = phi == Phi.Equiv
-    val nT: Int = tTo - tFrom
+    private val tFrom = tuples.start(c)
+    private val mFrom = matches.start(c)
+    val nT: Int = tuples.start(c + 1) - tFrom
+    private val nE = matches.start(c + 1) - mFrom
+    /** The position of the component's tuple `j` and of its match `e`. */
+    def tupleAt(j: Int): Int = tuples.entry(tFrom + j)
+    def matchAt(e: Int): Int = matches.entry(mFrom + e)
     private val isHub = new Array[Boolean](nT)
     val impact = new Array[Double](nT)
     private val uCost = new Array[Double](nT)
@@ -259,11 +239,10 @@ object ExplainSolver {
     val eLeaf = new Array[Int](nE)
     val eHub = new Array[Int](nE)
     private val eGain = new Array[Double](nE)
-    // Each tuple's edges in ascending index order: edgesAt(edgeStart(t) until edgeStart(t + 1)).
-    private val edgeStart = new Array[Int](nT + 1)
-    private val edgesAt = new Array[Int](2 * nE)
     // f = objective value if every undecided edge were rejected.
     private var f = fill()
+    // Each tuple's edges in ascending index order: edgesAt(edgeStart(t) until edgeStart(t + 1)).
+    private val (edgeStart, edgesAt) = edgesByTuple()
 
     /** Fills the tuple and edge arrays and returns the initial f: the
       * matches' log(1−p) summed, plus the tuples' unmatched costs summed.
@@ -275,32 +254,34 @@ object ExplainSolver {
       var unmatched = 0.0
       var j = 0
       while (j < nT) {
-        val t = ix.tuples(compTuples(tFrom + j))
+        val i = tupleAt(j)
+        val t = ix.tuples(i)
+        local(i) = j
         isHub(j) = t.side == hubSide; impact(j) = t.impact; uCost(j) = p.unmatchedCost(t.impact)
+        unmatched += uCost(j)
         j += 1
       }
       var rejectAll = 0.0
       var e = 0
       while (e < nE) {
-        val m = compMatches(mFrom + e)
+        val m = matchAt(e)
         val l = local(ix.left(m)); val r = local(ix.right(m))
         if (hubSide == 1) { eHub(e) = l; eLeaf(e) = r } else { eHub(e) = r; eLeaf(e) = l }
         val pm = ix.p(m)
         eGain(e) = math.log(pm) - math.log(1 - pm)
         rejectAll += math.log(1 - pm)
-        edgeStart(eLeaf(e) + 1) += 1; edgeStart(eHub(e) + 1) += 1
-        e += 1
-      }
-      j = 0
-      while (j < nT) { unmatched += uCost(j); edgeStart(j + 1) += edgeStart(j); j += 1 }
-      val next = edgeStart.clone()
-      e = 0
-      while (e < nE) {
-        edgesAt(next(eLeaf(e))) = e; next(eLeaf(e)) += 1
-        edgesAt(next(eHub(e))) = e; next(eHub(e)) += 1
         e += 1
       }
       rejectAll + unmatched
+    }
+
+    /** Edge e's ends are entries 2e (its leaf) and 2e + 1 (its hub). */
+    private def edgesByTuple(): (Array[Int], Array[Int]) = {
+      val end = new Array[Int](2 * nE)
+      var e = 0
+      while (e < nE) { end(2 * e) = eLeaf(e); end(2 * e + 1) = eHub(e); e += 1 }
+      val byTuple = Buckets(nT, end)
+      (byTuple.start, byTuple.entry.map(_ >> 1))
     }
 
     /** Edges by descending branch score, ties by ascending index. Scores
@@ -319,12 +300,7 @@ object ExplainSolver {
       for (i <- 0 until nE)
         if (nDistinct == 0 || sorted(i) != sorted(nDistinct - 1)) { sorted(nDistinct) = sorted(i); nDistinct += 1 }
       val rank = score.map(x => nDistinct - 1 - java.util.Arrays.binarySearch(sorted, 0, nDistinct, x))
-      val start = new Array[Int](nDistinct + 1)
-      rank.foreach(r => start(r + 1) += 1)
-      for (r <- 0 until nDistinct) start(r + 1) += start(r)
-      val out = new Array[Int](nE)
-      for (e <- 0 until nE) { out(start(rank(e))) = e; start(rank(e)) += 1 }
-      out
+      Buckets(nDistinct, rank).entry
     }
 
     // Search state.

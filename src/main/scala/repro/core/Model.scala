@@ -68,7 +68,8 @@ object Model {
 
   /** Prior parameters of the probabilistic model (Section 3.1): α is the
     * a-priori probability a tuple is covered by both datasets, β that its
-    * impact is correct. Both in (0.5, 1].
+    * impact is correct. Both in (0.5, 1): at 1, log(1−α) or log(1−β) would
+    * be −∞.
     *
     * Also the star cost model that the objective reduces to for a valid
     * mapping: every selected star costs b per tuple plus one changed impact

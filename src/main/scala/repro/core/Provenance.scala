@@ -13,32 +13,25 @@ import org.apache.spark.sql.functions._
   */
 object Provenance {
 
-  /** The projection/aggregate `o` of the query. */
-  sealed trait Output {
-    /** AVG/MAX/MIN require a strict one-to-one mapping and are exempt from
-      * canonical consolidation (Section 3.1).
-      */
-    def strict: Boolean = this match {
-      case Output.Avg(_) | Output.Max(_) | Output.Min(_) => true
-      case _                                             => false
-    }
-  }
+  /** The projection/aggregate `o` of the query.
+    *
+    * @param column the aggregated attribute of SUM/AVG/MAX/MIN, none for a
+    *               plain projection or COUNT
+    * @param strict AVG/MAX/MIN require a strict one-to-one mapping and are
+    *               exempt from canonical consolidation (Section 3.1)
+    */
+  sealed abstract class Output(val column: Option[String], val strict: Boolean)
   object Output {
     /** Plain projection — each result tuple contributes 1. */
-    case object NonAggregate        extends Output
-    case object Count               extends Output
-    final case class Sum(col: String) extends Output
-    final case class Avg(col: String) extends Output
-    final case class Max(col: String) extends Output
-    final case class Min(col: String) extends Output
+    case object NonAggregate          extends Output(None, strict = false)
+    case object Count                 extends Output(None, strict = false)
+    final case class Sum(col: String) extends Output(Some(col), strict = false)
+    final case class Avg(col: String) extends Output(Some(col), strict = true)
+    final case class Max(col: String) extends Output(Some(col), strict = true)
+    final case class Min(col: String) extends Output(Some(col), strict = true)
   }
 
   /** Derives P(A…, I) from the filtered input σ_c(X). */
-  def relation(filtered: DataFrame, output: Output): DataFrame = output match {
-    case Output.NonAggregate | Output.Count => filtered.withColumn("I", lit(1.0))
-    case Output.Sum(c)                      => filtered.withColumn("I", col(c).cast("double"))
-    case Output.Avg(c)                      => filtered.withColumn("I", col(c).cast("double"))
-    case Output.Max(c)                      => filtered.withColumn("I", col(c).cast("double"))
-    case Output.Min(c)                      => filtered.withColumn("I", col(c).cast("double"))
-  }
+  def relation(filtered: DataFrame, output: Output): DataFrame =
+    filtered.withColumn("I", output.column.fold(lit(1.0))(col(_).cast("double")))
 }

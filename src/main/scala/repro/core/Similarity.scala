@@ -92,14 +92,14 @@ object Similarity {
       s / attrs.size.toDouble
     }
 
-    // Postings of the right side, as offsets into one array per token.
+    // Postings of the right side: one (token, row) occurrence per blocking
+    // attribute and token, bucketed by token.
     val blocking = text.filter(attrs(_).blocking)
-    val start = new Array[Int](dict.size + 1)
-    for (k <- blocking; ts <- rTok(k); t <- ts) start(t + 1) += 1
-    for (t <- 1 to dict.size) start(t) += start(t - 1)
-    val posting = new Array[Int](start(dict.size))
-    val fill = start.clone()
-    for (k <- blocking; j <- right.indices; t <- rTok(k)(j)) { posting(fill(t)) = j; fill(t) += 1 }
+    val (occTok, occRow) = (Array.newBuilder[Int], Array.newBuilder[Int])
+    for (k <- blocking; j <- right.indices; t <- rTok(k)(j)) { occTok += t; occRow += j }
+    val byTok = Buckets(dict.size, occTok.result())
+    val rowOf = occRow.result()
+    val posting = byTok.entry.map(rowOf(_))
 
     // stamp(j) == i once pair (i, j) is found, so each pair is emitted once.
     val stamp = Array.fill(right.size)(-1)
@@ -108,7 +108,7 @@ object Similarity {
     var generated = 0
     for (i <- left.indices) {
       var n = 0
-      for (k <- blocking; t <- lTok(k)(i); p <- start(t) until start(t + 1)) {
+      for (k <- blocking; t <- lTok(k)(i); p <- byTok.start(t) until byTok.start(t + 1)) {
         val j = posting(p)
         if (stamp(j) != i) { stamp(j) = i; found(n) = j; n += 1 }
       }

@@ -43,14 +43,9 @@ object ImdbQueries {
 
   private def canon(filtered: DataFrame, out: Output, attrs: Seq[KeyAttr]): DataFrame = {
     val prov = Provenance.relation(filtered, out)
-    val aggCol = out match {
-      case Output.Sum(c) => Some(c); case Output.Avg(c) => Some(c)
-      case Output.Max(c) => Some(c); case Output.Min(c) => Some(c)
-      case _ => None
-    }
     // Leftover columns (e.g. genre/country) ride along for summarization.
     val extras = prov.columns.toSeq
-      .diff(attrs.map(_.name) ++ Seq("I", "uid") ++ aggCol.toSeq)
+      .diff(attrs.map(_.name) ++ Seq("I", "uid") ++ out.column.toSeq)
     Canonicalize.canonical(prov, attrs.map(_.name), out.strict, extras)
   }
 

@@ -1,5 +1,6 @@
 package repro.partition
 
+import repro.core.Buckets
 import repro.partition.PrePartition.CoarseGraph
 
 /** Balanced min-edge-cut graph partitioner (the Graph Partitioning Problem,
@@ -28,9 +29,9 @@ object Partitioner {
   /** Kernighan–Lin refinement passes after the greedy growth. */
   private val RefinePasses = 2
 
-  /** Returns the partition index of each coarse node. The number of parts is
-    * driven by `lMax`; `k` is a target used to pre-size structures (the
-    * greedy pass may open more parts when connectivity is sparse).
+  /** Returns the partition index of each coarse node. The parts follow from
+    * `lMax` alone: the greedy pass opens a part whenever the growing one
+    * cannot take another node. `k`, the target part count, is not read.
     */
   def partition(g: CoarseGraph, k: Int, lMax: Int): Array[Int] = {
     val n = g.nodes.size
@@ -173,17 +174,12 @@ object Partitioner {
     def apply(g: CoarseGraph): Adjacency = {
       val n = g.nodes.size
       val nE = g.edgeA.length
-      val start = new Array[Int](n + 1)
-      for (e <- 0 until nE) { start(g.edgeA(e) + 1) += 1; start(g.edgeB(e) + 1) += 1 }
-      for (v <- 0 until n) start(v + 1) += start(v)
-      val rawNode = new Array[Int](2 * nE)
-      val rawWeight = new Array[Double](2 * nE)
-      val next = start.clone()
-      for (e <- 0 until nE) {
-        val a = g.edgeA(e); val b = g.edgeB(e)
-        rawNode(next(a)) = b; rawWeight(next(a)) = g.edgeW(e); next(a) += 1
-        rawNode(next(b)) = a; rawWeight(next(b)) = g.edgeW(e); next(b) += 1
-      }
+      // Edge e's ends are entries 2e (at edgeA(e)) and 2e + 1 (at edgeB(e)),
+      // so end x's neighbour is at(x ^ 1).
+      val at = new Array[Int](2 * nE)
+      for (e <- 0 until nE) { at(2 * e) = g.edgeA(e); at(2 * e + 1) = g.edgeB(e) }
+      val rows = Buckets(n, at)
+      val start = rows.start
       // Sort each row by (iteration-order key, slot in the row).
       val node = new Array[Int](2 * nE)
       val weight = new Array[Double](2 * nE)
@@ -191,11 +187,11 @@ object Partitioner {
       for (v <- 0 until n) {
         val from = start(v); val to = start(v + 1)
         val cap = HashOrder.capacityAfterInserts(to - from)
-        for (i <- from until to) keys(i) = (HashOrder.key(rawNode(i), cap).toLong << 32) | (i - from)
+        for (i <- from until to) keys(i) = (HashOrder.key(at(rows.entry(i) ^ 1), cap).toLong << 32) | (i - from)
         java.util.Arrays.sort(keys, from, to)
         for (i <- from until to) {
-          val src = from + (keys(i) & 0xffffffffL).toInt
-          node(i) = rawNode(src); weight(i) = rawWeight(src)
+          val x = rows.entry(from + (keys(i) & 0xffffffffL).toInt)
+          node(i) = at(x ^ 1); weight(i) = g.edgeW(x >> 1)
         }
       }
       Adjacency(start, node, weight)

@@ -2,7 +2,7 @@ package repro.partition
 
 import repro.core.ExplainSolver.Indexed
 import repro.core.Model.Instance
-import repro.core.Scoring
+import repro.core.{Buckets, Scoring}
 
 /** Pre-partitioning (Algorithm 2): merge tuples connected by
   * high-probability matches (p ≥ θ_h) into coarse nodes, then aggregate the
@@ -64,28 +64,19 @@ object PrePartition {
     // Matches between distinct nodes, bucketed by their lower node in match
     // order; within a bucket, `slot(b)` is node b's edge while `mark(b)`
     // names the bucket.
-    val start = new Array[Int](n + 1)
-    for (m <- 0 until nM) {
+    val byLower = Buckets(n, Array.tabulate(nM) { m =>
       val a = nodeOf(ix.left(m)); val b = nodeOf(ix.right(m))
-      if (a != b) start(math.min(a, b) + 1) += 1
-    }
-    for (v <- 0 until n) start(v + 1) += start(v)
-    val byLower = new Array[Int](start(n))
-    locally {
-      val next = start.clone()
-      for (m <- 0 until nM) {
-        val a = nodeOf(ix.left(m)); val b = nodeOf(ix.right(m))
-        if (a != b) { val lo = math.min(a, b); byLower(next(lo)) = m; next(lo) += 1 }
-      }
-    }
-    val edgeA = new Array[Int](byLower.length)
-    val edgeB = new Array[Int](byLower.length)
-    val edgeW = new Array[Double](byLower.length)
+      if (a != b) math.min(a, b) else -1
+    })
+    val nCross = byLower.entry.length
+    val edgeA = new Array[Int](nCross)
+    val edgeB = new Array[Int](nCross)
+    val edgeW = new Array[Double](nCross)
     val mark = Array.fill(n)(-1)
     val slot = new Array[Int](n)
     var nE = 0
-    for (a <- 0 until n; k <- start(a) until start(a + 1)) {
-      val m = byLower(k)
+    for (a <- 0 until n; k <- byLower.start(a) until byLower.start(a + 1)) {
+      val m = byLower.entry(k)
       val b = nodeOf(ix.left(m)) + nodeOf(ix.right(m)) - a
       val w = cfg.weight(ix.p(m))
       if (mark(b) == a) edgeW(slot(b)) += w

@@ -23,9 +23,9 @@ object MapPartitioner {
   /** Kernighan–Lin refinement passes after the greedy growth. */
   private val RefinePasses = 2
 
-  /** Returns the partition index of each coarse node. The number of parts is
-    * driven by `lMax`; `k` is a target used to pre-size structures (the
-    * greedy pass may open more parts when connectivity is sparse).
+  /** Returns the partition index of each coarse node. The parts follow from
+    * `lMax` alone: the greedy pass opens a part whenever the growing one
+    * cannot take another node. `k`, the target part count, is not read.
     */
   def partition(g: CoarseGraph, k: Int, lMax: Int): Array[Int] = {
     val n = g.nodes.size

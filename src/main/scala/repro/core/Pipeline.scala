@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.SparkContext
+import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.functions._
@@ -41,7 +42,10 @@ object Pipeline {
     * order (the tuple collect and cid order, gold derivation, the
     * similarity join, calibration). The two sides collect concurrently, so
     * `leftS` and `rightS`, each side's own collect and cid order, can sum
-    * to more than `tuplesS`.
+    * to more than `tuplesS`. `compiled` is the number of classes Spark's
+    * code generator compiled while [[prepare]] ran, cache misses of its
+    * codegen cache; the count is process-wide, so it includes compilations
+    * of any other Spark work that ran at the same time.
     */
   final case class PairStats(
       t1: Int,
@@ -56,11 +60,12 @@ object Pipeline {
       goldS: Double = 0.0,
       candidatesS: Double = 0.0,
       calibrateS: Double = 0.0,
+      compiled: Long = 0L,
   ) {
     def phases: String =
       f"stage 1: tuples $tuplesS%.3fs (left $leftS%.3fs, right $rightS%.3fs), gold $goldS%.3fs, " +
         f"candidates $candidatesS%.3fs, calibrate $calibrateS%.3fs; $generated pairs generated, " +
-        f"$nMatches candidate matches kept, $labeled labeled ($trueLabels true)"
+        f"$nMatches candidate matches kept, $labeled labeled ($trueLabels true), $compiled classes compiled"
   }
 
   object PairStats {
@@ -70,7 +75,8 @@ object Pipeline {
       PairStats(ss.map(_.t1).sum / n, ss.map(_.t2).sum / n, ss.map(_.nMatches).sum / n,
         ss.map(_.generated).sum / n, ss.map(_.labeled).sum / n, ss.map(_.trueLabels).sum / n,
         ss.map(_.tuplesS).sum / n, ss.map(_.leftS).sum / n, ss.map(_.rightS).sum / n,
-        ss.map(_.goldS).sum / n, ss.map(_.candidatesS).sum / n, ss.map(_.calibrateS).sum / n)
+        ss.map(_.goldS).sum / n, ss.map(_.candidatesS).sum / n, ss.map(_.calibrateS).sum / n,
+        ss.map(_.compiled).sum / n)
     }
   }
 
@@ -169,6 +175,7 @@ object Pipeline {
   ): PreparedPair = {
     val matchAttrs = attrs.map(_.name)
     val sc = leftCanon.sparkSession.sparkContext
+    val compiled0 = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
 
     /** One side's collect and tuple build. From column 0 a collected row
       * holds the similarity features, the cid columns as given, the matching
@@ -236,6 +243,7 @@ object Pipeline {
 
     val inst = Instance(t1, t2, matches, phi)
     PreparedPair(inst, keyOf, gold, PairStats(t1.size, t2.size, matches.size, cands.generated,
-      cal.labeled, cal.trues, tuplesS, leftS, rightS, goldS, candidatesS, calibrateS))
+      cal.labeled, cal.trues, tuplesS, leftS, rightS, goldS, candidatesS, calibrateS,
+      CodegenMetrics.METRIC_COMPILATION_TIME.getCount - compiled0))
   }
 }

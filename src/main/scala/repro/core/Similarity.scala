@@ -85,11 +85,12 @@ object Similarity {
     }
     // Summed left to right, then divided by the attribute count: the
     // floating-point order the recorded scores and stage-1 digests pin.
+    val nAttrs = attrs.size.toDouble
     def sim(i: Int, j: Int): Double = {
       var s = term(0)(i, j)
       var k = 1
       while (k < term.length) { s += term(k)(i, j); k += 1 }
-      s / attrs.size.toDouble
+      s / nAttrs
     }
 
     // Postings of the right side: one (token, row) occurrence per blocking

@@ -1,5 +1,7 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.Range
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
@@ -61,6 +63,17 @@ class ImdbDataSpec extends SparkSpec {
     Oracle.assertEquivalent(got,
       "SELECT CAST(COALESCE(SUM(CAST(gross AS DOUBLE)), 0) AS DOUBLE) AS total FROM m",
       "m" -> m.select("movie_id", "gross"))
+  }
+
+  test("views query the stored catalogue, whatever the Spark cache holds") {
+    val views = v.productElementNames.zip(v.productIterator.collect { case df: DataFrame => df }).toSeq
+    assert(views.size == 9)
+    def rows = views.map { case (_, df) => df.collect().map(_.toString).sorted.toSeq }
+    val before = rows
+    spark.catalog.clearCache()
+    assert(rows == before)
+    for ((name, df) <- views)
+      assert(df.queryExecution.logical.find(_.isInstanceOf[Range]).isEmpty, s"$name plans a generator")
   }
 
   test("uid threads through both views for movies and persons") {

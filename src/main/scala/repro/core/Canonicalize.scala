@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.internal.SQLConf
 
 /** Canonicalization (Def. 3.1): `T = π_{A,I}( GroupBy_A SUM(I) (P) )`.
   *
@@ -19,6 +20,14 @@ import org.apache.spark.sql.functions._
   * Consolidation keeps the least non-null `uid` and extra attribute of each
   * key, so the output depends only on the provenance rows, not on their
   * order or partitioning.
+  *
+  * A provenance relation that the optimizer estimates at no more than
+  * `spark.sql.adaptive.advisoryPartitionSizeInBytes` (64 MB by default) is
+  * aggregated in one partition, with no exchange: under that size AQE would
+  * coalesce the aggregate's final stage to one partition anyway, so only its
+  * partial-aggregate stage, a job of its own, is saved. Larger or badly
+  * estimated inputs keep the shuffle; an inner join is estimated as the
+  * product of its sides, so IMDb Q1/Q2 keep theirs.
   */
 object Canonicalize {
 
@@ -37,7 +46,8 @@ object Canonicalize {
       extraAttrs: Seq[String] = Nil,
   ): DataFrame = {
     val hasUid = prov.columns.contains("uid")
-    val keyed = matchAttrs.foldLeft(prov)((df, a) => df.withColumn(a, col(a).cast("string")))
+    val input = if (!strict && small(prov)) prov.coalesce(1) else prov
+    val keyed = matchAttrs.foldLeft(input)((df, a) => df.withColumn(a, col(a).cast("string")))
     val base =
       if (strict) {
         val cols = matchAttrs.map(col) :+ col("I").cast("double").as("I")
@@ -51,4 +61,12 @@ object Canonicalize {
       }
     if (hasUid) base else base.withColumn("uid", lit(null).cast("string"))
   }
+
+  /** Whether the optimizer estimates `prov` at no more than AQE's advisory
+    * partition size, under which AQE runs the aggregate's final stage in
+    * one partition anyway.
+    */
+  private def small(prov: DataFrame): Boolean =
+    prov.queryExecution.optimizedPlan.stats.sizeInBytes <=
+      prov.sparkSession.sessionState.conf.getConf(SQLConf.ADVISORY_PARTITION_SIZE_IN_BYTES)
 }

@@ -4,6 +4,8 @@ import org.apache.spark.SparkContext
 import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import org.apache.spark.unsafe.types.UTF8String
@@ -45,7 +47,9 @@ object Pipeline {
     * to more than `tuplesS`. `compiled` is the number of classes Spark's
     * code generator compiled while [[prepare]] ran, cache misses of its
     * codegen cache; the count is process-wide, so it includes compilations
-    * of any other Spark work that ran at the same time.
+    * of any other Spark work that ran at the same time. `shuffles` is the
+    * number of shuffle exchanges in the two sides' executed plans, AQE
+    * query stages included.
     */
   final case class PairStats(
       t1: Int,
@@ -61,11 +65,13 @@ object Pipeline {
       candidatesS: Double = 0.0,
       calibrateS: Double = 0.0,
       compiled: Long = 0L,
+      shuffles: Int = 0,
   ) {
     def phases: String =
       f"stage 1: tuples $tuplesS%.3fs (left $leftS%.3fs, right $rightS%.3fs), gold $goldS%.3fs, " +
         f"candidates $candidatesS%.3fs, calibrate $calibrateS%.3fs; $generated pairs generated, " +
-        f"$nMatches candidate matches kept, $labeled labeled ($trueLabels true), $compiled classes compiled"
+        f"$nMatches candidate matches kept, $labeled labeled ($trueLabels true), " +
+        f"$compiled classes compiled, $shuffles shuffles"
   }
 
   object PairStats {
@@ -76,7 +82,7 @@ object Pipeline {
         ss.map(_.generated).sum / n, ss.map(_.labeled).sum / n, ss.map(_.trueLabels).sum / n,
         ss.map(_.tuplesS).sum / n, ss.map(_.leftS).sum / n, ss.map(_.rightS).sum / n,
         ss.map(_.goldS).sum / n, ss.map(_.candidatesS).sum / n, ss.map(_.calibrateS).sum / n,
-        ss.map(_.compiled).sum / n)
+        ss.map(_.compiled).sum / n, ss.map(_.shuffles).sum / n)
     }
   }
 
@@ -162,6 +168,14 @@ object Pipeline {
     canon.sparkSession.createDataFrame(numbered.toSeq.asJava, canon.schema.add("cid", LongType, nullable = false))
   }
 
+  /** The shuffle exchanges in `df`'s executed plan, those inside AQE query
+    * stages included; after a collect, AQE's final plan is the one counted.
+    */
+  private[core] def shuffles(df: DataFrame): Int =
+    AdaptivePlans.collect(df.queryExecution.executedPlan) { case s: ShuffleExchangeLike => s }.size
+
+  private object AdaptivePlans extends AdaptiveSparkPlanHelper
+
   /** Full stage-1 preparation of one comparable query pair, under the
     * default priors and calibration. The similarity join emits each
     * (lid, rid) once and in order, so the matches come out sorted.
@@ -190,16 +204,17 @@ object Pipeline {
       private val strAt = attrs.size + order.size
       private val iIdx = strAt + matchAttrs.size + extras.size
 
-      /** The side's rows, collected once and put in cid order, and the
-        * wall seconds they took.
+      /** The side's rows, collected once and put in cid order, the wall
+        * seconds they took, and the shuffles the collect ran.
         */
-      def collect(): (IndexedSeq[Row], Double) = {
+      def collect(): (IndexedSeq[Row], Double, Int) = {
         val t0 = System.nanoTime()
         val cols = Similarity.features(attrs) ++ order.map(col) ++
           (matchAttrs ++ extras).map(c => coalesce(col(c).cast("string"), lit(""))) ++
           Seq(col("I").cast("double"), col("uid").cast("string"))
-        val rows = cidOrder(df.select(cols: _*).collect(), attrs.size until strAt).toIndexedSeq
-        (rows, (System.nanoTime() - t0) / 1e9)
+        val projected = df.select(cols: _*)
+        val rows = cidOrder(projected.collect(), attrs.size until strAt).toIndexedSeq
+        (rows, (System.nanoTime() - t0) / 1e9, shuffles(projected))
       }
 
       /** Tuple id = cid + offset. */
@@ -215,7 +230,7 @@ object Pipeline {
       def uids(rows: IndexedSeq[Row]): IndexedSeq[String] = rows.map(_.getString(iIdx + 1))
     }
     val (left, right) = (new Side(leftCanon, 1), new Side(rightCanon, 2))
-    val (((lRows, leftS), (rRows, rightS)), tuplesS) =
+    val (((lRows, leftS, lShuffles), (rRows, rightS, rShuffles)), tuplesS) =
       phase(sc, "tuples")(concurrently(left.collect(), right.collect()))
     val offset = lRows.size.toLong
     val (t1, t2) = (left.tuples(lRows, 0L), right.tuples(rRows, offset))
@@ -244,6 +259,6 @@ object Pipeline {
     val inst = Instance(t1, t2, matches, phi)
     PreparedPair(inst, keyOf, gold, PairStats(t1.size, t2.size, matches.size, cands.generated,
       cal.labeled, cal.trues, tuplesS, leftS, rightS, goldS, candidatesS, calibrateS,
-      CodegenMetrics.METRIC_COMPILATION_TIME.getCount - compiled0))
+      CodegenMetrics.METRIC_COMPILATION_TIME.getCount - compiled0, lShuffles + rShuffles))
   }
 }

@@ -150,13 +150,13 @@ object ImdbQueries {
   def q10(v: Views, genre: String): QueryPair = {
     val genreMovies1 = v.movie1.filter(col("genre") === genre).select("movie_id")
     val l = v.actor1.filter(col("gender") === "F")
-      .join(v.movieActor1.join(genreMovies1, "movie_id").select("actor_id").distinct(),
+      .join(v.movieActor1.join(genreMovies1, "movie_id").select("actor_id"),
         Seq("actor_id"), "left_anti")
     val genreMovies2 = v.movie2
       .join(info(v, "genre").filter(col("info") === genre).select("m_id"), "m_id")
       .select("m_id")
     val r = v.person2.filter(col("gender") === "F")
-      .join(v.moviePerson2.join(genreMovies2, "m_id").select("p_id").distinct(),
+      .join(v.moviePerson2.join(genreMovies2, "m_id").select("p_id"),
         Seq("p_id"), "left_anti")
     QueryPair(s"Q10($genre)",
       canon(personCols1(l), Output.NonAggregate, personAttrs),

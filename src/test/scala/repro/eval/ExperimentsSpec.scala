@@ -35,20 +35,20 @@ class ExperimentsSpec extends AnyFunSuite {
     val run = Experiments.PairRun(
       "pair", 123, PairStats(10, 12, 30, generated = 41, labeled = 14, trueLabels = 5,
         tuplesS = 0.1, leftS = 0.08, rightS = 0.07, goldS = 0.5, candidatesS = 1.25, calibrateS = 0.02,
-        compiled = 69),
+        compiled = 69, shuffles = 2),
       Seq(Harness.AlgoResult("ALGO", "pair", PRF(1, 1, 1), PRF(1, 1, 1), 7, proved = false)), Nil)
     val lines = Experiments.render(run).linesIterator.toSeq
     assert(lines.head.contains("stage 1: tuples 0.100s (left 0.080s, right 0.070s), gold 0.500s, " +
       "candidates 1.250s, calibrate 0.020s; 41 pairs generated, " +
       "30 candidate matches kept, 14 labeled (5 true)"), lines.head)
-    assert(lines.head.contains("14 labeled (5 true), 69 classes compiled"), lines.head)
+    assert(lines.head.contains("14 labeled (5 true), 69 classes compiled, 2 shuffles"), lines.head)
     assert(lines(1).endsWith("UNPROVED"))
   }
 
   test("PairStats.mean averages every field") {
-    val m = PairStats.mean(Seq(PairStats(10, 20, 30, 40, 8, 2, 1, 0.5, 0.75, 2, 3, 4, 69),
-      PairStats(11, 21, 31, 43, 11, 5, 3, 1.5, 1.25, 4, 5, 6, 72)))
-    assert(m == PairStats(10, 20, 30, 41, 9, 3, 2, 1, 1, 3, 4, 5, 70))
+    val m = PairStats.mean(Seq(PairStats(10, 20, 30, 40, 8, 2, 1, 0.5, 0.75, 2, 3, 4, 69, 2),
+      PairStats(11, 21, 31, 43, 11, 5, 3, 1.5, 1.25, 4, 5, 6, 72, 9)))
+    assert(m == PairStats(10, 20, 30, 41, 9, 3, 2, 1, 1, 3, 4, 5, 70, 5))
   }
 
   private val nooptStats = SolveStats(1, 4000, 0, 0.0, 0.012, 0.25)

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.internal.SQLConf
 
 /** Canonicalization (Def. 3.1): `T = π_{A,I}( GroupBy_A SUM(I) (P) )`.
   *
@@ -21,13 +20,12 @@ import org.apache.spark.sql.internal.SQLConf
   * key, so the output depends only on the provenance rows, not on their
   * order or partitioning.
   *
-  * A provenance relation that the optimizer estimates at no more than
-  * `spark.sql.adaptive.advisoryPartitionSizeInBytes` (64 MB by default) is
-  * aggregated in one partition, with no exchange: under that size AQE would
-  * coalesce the aggregate's final stage to one partition anyway, so only its
-  * partial-aggregate stage, a job of its own, is saved. Larger or badly
-  * estimated inputs keep the shuffle; an inner join is estimated as the
-  * product of its sides, so IMDb Q1/Q2 keep theirs.
+  * Consolidation aggregates over `coalesce(1)`, in one task and with no
+  * exchange: every canonical relation is collected to the driver whole, and
+  * a shuffle would only add a partial-aggregate stage that adaptive
+  * execution runs as a Spark job of its own. The operators after the
+  * provenance relation's last exchange run in that task too, a cost that
+  * grows with the relation; the ones here hold a few thousand rows.
   */
 object Canonicalize {
 
@@ -46,7 +44,7 @@ object Canonicalize {
       extraAttrs: Seq[String] = Nil,
   ): DataFrame = {
     val hasUid = prov.columns.contains("uid")
-    val input = if (!strict && small(prov)) prov.coalesce(1) else prov
+    val input = if (strict) prov else prov.coalesce(1)
     val keyed = matchAttrs.foldLeft(input)((df, a) => df.withColumn(a, col(a).cast("string")))
     val base =
       if (strict) {
@@ -61,12 +59,4 @@ object Canonicalize {
       }
     if (hasUid) base else base.withColumn("uid", lit(null).cast("string"))
   }
-
-  /** Whether the optimizer estimates `prov` at no more than AQE's advisory
-    * partition size, under which AQE runs the aggregate's final stage in
-    * one partition anyway.
-    */
-  private def small(prov: DataFrame): Boolean =
-    prov.queryExecution.optimizedPlan.stats.sizeInBytes <=
-      prov.sparkSession.sessionState.conf.getConf(SQLConf.ADVISORY_PARTITION_SIZE_IN_BYTES)
 }

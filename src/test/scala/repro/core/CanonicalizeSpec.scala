@@ -6,17 +6,6 @@ import repro.core.Provenance.Output
 
 class CanonicalizeSpec extends SparkSpec {
 
-  private val AdvisorySize = "spark.sql.adaptive.advisoryPartitionSizeInBytes"
-
-  /** Runs `body` on both consolidation paths: the one-partition aggregate a
-    * small relation gets, then the shuffled one that an advisory partition
-    * size of 1 byte forces.
-    */
-  private def onBothPaths(body: => Unit): Unit = {
-    body
-    withSqlConf(AdvisorySize -> "1")(body)
-  }
-
   private def majors = {
     import spark.implicits._
     Seq(
@@ -46,33 +35,21 @@ class CanonicalizeSpec extends SparkSpec {
     assert(cs == 2.0)
   }
 
-  test("canonicalization matches DuckDB group-by (oracle)") {
-    val p = Provenance.relation(majors, Output.Count)
-    onBothPaths {
-      val t = Canonicalize.canonical(p, Seq("program"))
-        .select(col("program"), col("I").as("total"))
-      Oracle.assertEquivalent(
-        t,
-        "SELECT program, CAST(SUM(CAST(I AS DOUBLE)) AS DOUBLE) AS total FROM prov GROUP BY program",
-        "prov" -> p.select(col("program"), col("I")),
-      )
-    }
-  }
-
-  test("a small provenance relation is consolidated with no exchange") {
+  test("consolidation runs in one partition with no exchange") {
     val t = Canonicalize.canonical(Provenance.relation(majors, Output.Count), Seq("program"))
     assert(Pipeline.shuffles(t) == 0, t.queryExecution.executedPlan)
     assert(t.count() == 6)
   }
 
-  test("a provenance relation above the advisory partition size keeps its exchange") {
-    val before = spark.conf.get(AdvisorySize)
-    withSqlConf(AdvisorySize -> "1") {
-      val t = Canonicalize.canonical(Provenance.relation(majors, Output.Count), Seq("program"))
-      assert(Pipeline.shuffles(t) == 1, t.queryExecution.executedPlan)
-      assert(t.count() == 6)
-    }
-    assert(spark.conf.get(AdvisorySize) == before)
+  test("canonicalization matches DuckDB group-by (oracle)") {
+    val p = Provenance.relation(majors, Output.Count)
+    val t = Canonicalize.canonical(p, Seq("program"))
+      .select(col("program"), col("I").as("total"))
+    Oracle.assertEquivalent(
+      t,
+      "SELECT program, CAST(SUM(CAST(I AS DOUBLE)) AS DOUBLE) AS total FROM prov GROUP BY program",
+      "prov" -> p.select(col("program"), col("I")),
+    )
   }
 
   test("strict mode (AVG/MAX/MIN) keeps every provenance tuple") {
@@ -108,10 +85,8 @@ class CanonicalizeSpec extends SparkSpec {
     }
     val cached = prov.cache()
     try withSevenPartitions {
-      onBothPaths {
-        for (p <- Seq(prov, prov.repartition(1), prov.repartition(7), prov.orderBy(col("uid").desc), cached))
-          assert(canon(p) == expected)
-      }
+      for (p <- Seq(prov, prov.repartition(1), prov.repartition(7), prov.orderBy(col("uid").desc), cached))
+        assert(canon(p) == expected)
     } finally cached.unpersist()
   }
 
@@ -124,15 +99,13 @@ class CanonicalizeSpec extends SparkSpec {
       element_at(array(lit("N"), lit("R"), lit("A")), (col("id") % 3 + 1).cast("int")).as("l_returnflag"),
     )
     val p = Provenance.relation(li.filter(col("l_quantity") > 25), Output.Sum("l_extendedprice"))
-    onBothPaths {
-      val t = Canonicalize.canonical(p, Seq("l_returnflag"))
-        .select(col("l_returnflag"), round(col("I"), 2).as("total"))
-      Oracle.assertEquivalent(
-        t,
-        "SELECT l_returnflag, ROUND(CAST(SUM(CAST(I AS DOUBLE)) AS DOUBLE), 2) AS total " +
-          "FROM prov GROUP BY l_returnflag",
-        "prov" -> p.select(col("l_returnflag"), col("I")),
-      )
-    }
+    val t = Canonicalize.canonical(p, Seq("l_returnflag"))
+      .select(col("l_returnflag"), round(col("I"), 2).as("total"))
+    Oracle.assertEquivalent(
+      t,
+      "SELECT l_returnflag, ROUND(CAST(SUM(CAST(I AS DOUBLE)) AS DOUBLE), 2) AS total " +
+        "FROM prov GROUP BY l_returnflag",
+      "prov" -> p.select(col("l_returnflag"), col("I")),
+    )
   }
 }

@@ -40,9 +40,6 @@ class PipelineSpec extends SparkSpec {
 
   private lazy val prepared = prepare150()
 
-  private def digest(p: Pipeline.PreparedPair) = Seq(Stage1Digest.matches(p.inst.matches),
-    Stage1Digest.tuples(p.inst.t1), Stage1Digest.tuples(p.inst.t2), Stage1Digest.gold(p.gold))
-
   test("stage-1 output is bit-identical to the recorded reference") {
     // Tuples and gold recorded from the stage 1 that tokenized both strings
     // of every candidate pair; the match digest from the one whose
@@ -59,6 +56,8 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("stage 1 is a pure function of its logical input") {
+    def digest(p: Pipeline.PreparedPair) = Seq(Stage1Digest.matches(p.inst.matches),
+      Stage1Digest.tuples(p.inst.t1), Stage1Digest.tuples(p.inst.t2), Stage1Digest.gold(p.gold))
     val expected = digest(prepared)
     val cached = scala.collection.mutable.Buffer.empty[DataFrame]
     val physical = Seq[(String, DataFrame => DataFrame)](
@@ -133,14 +132,8 @@ class PipelineSpec extends SparkSpec {
     assert(s.leftS > 0.0 && s.rightS > 0.0 && s.leftS <= s.tuplesS && s.rightS <= s.tuplesS, s)
     assert(s.labeled > 0 && s.labeled < s.nMatches, s.labeled)
     assert(s.trueLabels > 0 && s.trueLabels <= s.labeled, s.trueLabels)
-    // Both canonical relations are small, so neither side's collect shuffles.
+    // Both canonical relations aggregate in one partition, so neither side's collect shuffles.
     assert(s.shuffles == 0, s)
-  }
-
-  test("shuffled canonicalization gives the same stage 1, one shuffle per side") {
-    val p = withSqlConf("spark.sql.adaptive.advisoryPartitionSizeInBytes" -> "1")(prepare150())
-    assert(p.stats.shuffles == 2, p.stats)
-    assert(digest(p) == digest(prepared))
   }
 
   test("stage-1 jobs carry a phase description and the caller's description is restored") {

@@ -1,9 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Model.Phi
-import repro.core.Similarity.KeyAttr
-import repro.data.{AcademicData, ImdbData, ImdbQueries}
+import repro.data.{ImdbData, ImdbQueries}
 import repro.eval.Experiments
 
 /** Figure 4 (the evaluation section's dataset-statistics table): N, |P|,
@@ -19,12 +17,7 @@ class Fig4StatsBench extends SparkSpec {
 
   test("Figure 4: academic dataset statistics") {
     println("=== Figure 4 (Academic) — paper: UMass |T|=95/81 |M*|=71 |E|=64->11; OSU |T|=206/153 |M*|=140 |E|=127->16")
-    for (cfg <- Seq(AcademicData.UMass, AcademicData.OSU)) {
-      val (l, r) = Experiments.academicPair(spark, cfg)
-      val leftProv = AcademicData.majorTable(spark, cfg).count()
-      val rightProv = AcademicData.rightProvenance(spark, cfg).count()
-      val row = Experiments.statsRow(cfg.univName, l, r, Seq(KeyAttr("name")),
-        Phi.LessGeneral, leftProv, rightProv, simFloor = Experiments.AcademicSimFloor)
+    for (row <- Experiments.academicStats(spark)) {
       println(row)
       assert(row.contains("|M*|"), "stats row rendered")
     }

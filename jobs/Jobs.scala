@@ -2,9 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.core.ExplainSolver
-import repro.core.Model.Phi
-import repro.data.{AcademicData, ImdbData, ImdbQueries, SyntheticGen}
-import repro.core.Similarity.KeyAttr
+import repro.data.{ImdbData, ImdbQueries, SyntheticGen}
 import repro.eval.Experiments
 
 /** Spark-submit entrypoints, one per evaluation artifact. Each builds its
@@ -29,13 +27,7 @@ object DatasetStats {
     println("IMDb          : (title, release_year) ≡ (title, release_year)")
     println("              : (firstname+lastname, gender, dob) ≡ (name, gender, dob)")
     println("\n=== Figure 4: dataset statistics ===")
-    for (cfg <- Seq(AcademicData.UMass, AcademicData.OSU)) {
-      val (l, r) = Experiments.academicPair(spark, cfg)
-      val leftProv = AcademicData.majorTable(spark, cfg).count()
-      val rightProv = AcademicData.rightProvenance(spark, cfg).count()
-      println(Experiments.statsRow(s"${cfg.univName}", l, r, Seq(KeyAttr("name")),
-        Phi.LessGeneral, leftProv, rightProv))
-    }
+    Experiments.academicStats(spark).foreach(println)
     val v = ImdbData.views(spark, ImdbData.Config(movies = 2000, actors = 2400, directors = 600))
     for (q <- ImdbQueries.all(v, year = 1990, genre = "comedy")) {
       println(Experiments.statsRow(q.name, q.left, q.right, q.attrs, q.phi,

@@ -8,9 +8,11 @@ import repro.core.Model._
   * exists between them. We pick a collection of sets maximizing the total
   * number of covered sets and elements, subject to each element being
   * covered by at most one selected set (the packing relaxation of exact
-  * cover), via a greedy largest-coverage heuristic with a swap improvement
-  * pass — the baseline ignores tuple impacts and match probabilities by
-  * design, which is why the paper reports it performing badly everywhere.
+  * cover), by greedy packing: repeatedly select the set with the most
+  * elements, among the sets none of whose elements is covered yet, until
+  * no such set is left. The baseline ignores tuple impacts and match
+  * probabilities by design, which is why the paper reports it performing
+  * badly everywhere.
   */
 case object ExactCover extends Algorithm {
   val name = "EXACTCOVER"

@@ -20,12 +20,14 @@ import org.apache.spark.sql.functions._
   * key, so the output depends only on the provenance rows, not on their
   * order or partitioning.
   *
-  * Consolidation aggregates over `coalesce(1)`, in one task and with no
-  * exchange: every canonical relation is collected to the driver whole, and
-  * a shuffle would only add a partial-aggregate stage that adaptive
-  * execution runs as a Spark job of its own. The operators after the
-  * provenance relation's last exchange run in that task too, a cost that
-  * grows with the relation; the ones here hold a few thousand rows.
+  * Every query, strict or not, is canonicalized over `coalesce(1)`, in one
+  * task and with no exchange: every canonical relation is collected to the
+  * driver whole, a shuffle would only add a partial-aggregate stage that
+  * adaptive execution runs as a Spark job of its own, and the one partition
+  * lets the collect sort it into cid order with no range exchange. The
+  * operators after the provenance relation's last exchange run in that task
+  * too, a cost that grows with the relation; the ones here hold a few
+  * thousand rows.
   */
 object Canonicalize {
 
@@ -44,8 +46,7 @@ object Canonicalize {
       extraAttrs: Seq[String] = Nil,
   ): DataFrame = {
     val hasUid = prov.columns.contains("uid")
-    val input = if (strict) prov else prov.coalesce(1)
-    val keyed = matchAttrs.foldLeft(input)((df, a) => df.withColumn(a, col(a).cast("string")))
+    val keyed = matchAttrs.foldLeft(prov.coalesce(1))((df, a) => df.withColumn(a, col(a).cast("string")))
     val base =
       if (strict) {
         val cols = matchAttrs.map(col) :+ col("I").cast("double").as("I")

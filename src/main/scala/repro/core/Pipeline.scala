@@ -3,12 +3,10 @@ package repro.core
 import org.apache.spark.SparkContext
 import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
-import org.apache.spark.unsafe.types.UTF8String
 import repro.core.Model._
 import repro.core.Similarity.KeyAttr
 import repro.eval.Gold
@@ -23,10 +21,10 @@ import scala.jdk.CollectionConverters._
   * canonical relation once — orders of magnitude smaller than the raw
   * datasets — mirroring the paper's CPLEX architecture. The two sides are
   * disjoint, so their collects run concurrently: the left side's on the
-  * caller's thread, the right side's on one more. Cid assignment, the
-  * similarity join, gold derivation and calibration are driver passes over
-  * those rows, so the output depends only on the canonical relations, not
-  * on their partitioning or caching.
+  * caller's thread, the right side's on one more. Spark sorts each side
+  * into cid order in its collect; the similarity join, gold derivation and
+  * calibration are driver passes over those rows, so the output depends
+  * only on the canonical relations, not on their partitioning or caching.
   */
 object Pipeline {
 
@@ -121,40 +119,15 @@ object Pipeline {
     (ra, rb.fold(e => throw e, identity))
   }
 
-  /** The columns that order cids: the matching attributes, `I`, then every
-    * other column in schema order, so only identical rows tie.
+  /** `canon` in cid order: Spark's ascending sort on the matching
+    * attributes, `I`, then every other column in schema order, so only
+    * identical rows tie. On a one-partition relation, such as every
+    * canonical one, the sort runs in the collect's own task, with no
+    * exchange.
     */
-  private def cidColumns(columns: Seq[String], matchAttrs: Seq[String]): Seq[String] = {
+  private def inCidOrder(canon: DataFrame, matchAttrs: Seq[String]): DataFrame = {
     val head = matchAttrs :+ "I"
-    head ++ columns.filterNot(head.contains)
-  }
-
-  /** Spark's ascending order on two values of one column: nulls first,
-    * strings (as [[UTF8String]]) by their UTF-8 bytes, floating point with
-    * −0.0 = 0.0 and NaN last, other types by their natural order.
-    */
-  private def compareValues(a: Any, b: Any): Int = (a, b) match {
-    case (null, null)                       => 0
-    case (null, _)                          => -1
-    case (_, null)                          => 1
-    case (x: Double, y: Double)             => SQLOrderingUtil.compareDoubles(x, y)
-    case (x: Float, y: Float)               => SQLOrderingUtil.compareFloats(x, y)
-    case (x: Comparable[Any] @unchecked, y) => x.compareTo(y)
-  }
-
-  /** Collected rows in cid order: ascending on the columns at `keys` as
-    * Spark's sort compares them. The sort is stable, so rows that tie on
-    * every key keep their given order.
-    */
-  private def cidOrder(rows: Array[Row], keys: Seq[Int]): Array[Row] = {
-    val byKeys: Ordering[Array[Any]] = (a, b) => {
-      var (i, c) = (0, 0)
-      while (c == 0 && i < a.length) { c = compareValues(a(i), b(i)); i += 1 }
-      c
-    }
-    def sortKey(r: Row): Array[Any] =
-      keys.iterator.map(i => r.get(i) match { case s: String => UTF8String.fromString(s); case v => v }).toArray
-    rows.map(r => (sortKey(r), r)).sortBy(_._1)(byKeys).map(_._2)
+    canon.orderBy((head ++ canon.columns.filterNot(head.contains)).map(col): _*)
   }
 
   /** `canon` with a deterministic 0-based `cid` column, as a local
@@ -162,8 +135,7 @@ object Pipeline {
     * gives its tuples.
     */
   def withCid(canon: DataFrame, matchAttrs: Seq[String]): DataFrame = {
-    val cols = canon.columns.toSeq
-    val rows = cidOrder(canon.collect(), cidColumns(cols, matchAttrs).map(cols.indexOf))
+    val rows = inCidOrder(canon, matchAttrs).collect()
     val numbered = rows.iterator.zipWithIndex.map { case (r, cid) => Row.fromSeq(r.toSeq :+ cid.toLong) }
     canon.sparkSession.createDataFrame(numbered.toSeq.asJava, canon.schema.add("cid", LongType, nullable = false))
   }
@@ -192,28 +164,26 @@ object Pipeline {
     val compiled0 = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
 
     /** One side's collect and tuple build. From column 0 a collected row
-      * holds the similarity features, the cid columns as given, the matching
-      * attributes and extras as strings, `I` as a double and `uid` as a
-      * string.
+      * holds the similarity features, the matching attributes and extras as
+      * strings, `I` as a double and `uid` as a string.
       */
     final class Side(df: DataFrame, side: Int) {
-      private val order = cidColumns(df.columns.toSeq, matchAttrs)
       // Any column beyond (matchAttrs, I, uid) is an extra provenance
       // attribute carried for stage-3 summarization.
       private val extras = df.columns.toSeq.diff(matchAttrs ++ Seq("I", "uid"))
-      private val strAt = attrs.size + order.size
+      private val strAt = attrs.size
       private val iIdx = strAt + matchAttrs.size + extras.size
 
-      /** The side's rows, collected once and put in cid order, the wall
-        * seconds they took, and the shuffles the collect ran.
+      /** The side's rows, collected once in cid order, the wall seconds
+        * they took, and the shuffles the collect ran.
         */
       def collect(): (IndexedSeq[Row], Double, Int) = {
         val t0 = System.nanoTime()
-        val cols = Similarity.features(attrs) ++ order.map(col) ++
+        val cols = Similarity.features(attrs) ++
           (matchAttrs ++ extras).map(c => coalesce(col(c).cast("string"), lit(""))) ++
           Seq(col("I").cast("double"), col("uid").cast("string"))
-        val projected = df.select(cols: _*)
-        val rows = cidOrder(projected.collect(), attrs.size until strAt).toIndexedSeq
+        val projected = inCidOrder(df, matchAttrs).select(cols: _*)
+        val rows = projected.collect().toIndexedSeq
         (rows, (System.nanoTime() - t0) / 1e9, shuffles(projected))
       }
 

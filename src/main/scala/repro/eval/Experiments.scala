@@ -172,6 +172,17 @@ object Experiments {
 
   // ---------------------------------------------------------------- Fig 4
 
+  /** Figure 4's Academic rows, UMass then OSU, at the blocking floor of the
+    * Fig-6 runs.
+    */
+  def academicStats(spark: SparkSession): Seq[String] =
+    Seq(AcademicData.UMass, AcademicData.OSU).map { cfg =>
+      val (l, r) = academicPair(spark, cfg)
+      statsRow(cfg.univName, l, r, Seq(KeyAttr("name")), Phi.LessGeneral,
+        AcademicData.majorTable(spark, cfg).count(), AcademicData.rightProvenance(spark, cfg).count(),
+        simFloor = AcademicSimFloor)
+    }
+
   /** Figure 4-style statistics for one pair, including |E| → |E_S|. */
   def statsRow(
       name: String,
@@ -188,7 +199,8 @@ object Experiments {
     val sol = ExplainSolver.solve(pair.inst, solverCfg)
     val e = sol.explanations
     val nE = e.delta.size + e.values.size
-    // Stage 3: summarize over the matching-attribute view of the tuples.
+    // Stage 3: summarize over every attribute the tuples carry (matching
+    // attributes and extras such as Degree).
     val targetIds = e.explanationTupleIds
     val targets = pair.inst.tupleById.collect { case (id, t) if targetIds.contains(id) => t.attrs }.toSeq
     val others = pair.inst.tupleById.collect { case (id, t) if !targetIds.contains(id) => t.attrs }.toSeq

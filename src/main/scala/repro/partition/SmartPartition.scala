@@ -26,9 +26,11 @@ object SmartPartition {
       cutMatches: Vector[TupleMatch],
   )
 
-  /** The part of every tuple position of `ix`, into parts of ≈`batchSize`
-    * tuples each (`k = ⌈(|T1|+|T2|)/batch⌉`, `L_max = batch`, as in
-    * Section 5.3).
+  /** The part of every tuple position of `ix`, into parts of at most
+    * `batchSize` tuples each (`L_max = batch`, as in Section 5.3), apart
+    * from a coarse node larger than that. The parts follow from `L_max`
+    * alone: [[Partitioner.partition]] never reads its target part count,
+    * given here as the paper's `k = ⌈(|T1|+|T2|)/batch⌉`.
     */
   private def partOf(ix: ExplainSolver.Indexed, cfg: Config): Array[Int] = {
     val coarse = PrePartition.run(ix, cfg.pre)

@@ -36,9 +36,17 @@ class CanonicalizeSpec extends SparkSpec {
   }
 
   test("consolidation runs in one partition with no exchange") {
-    val t = Canonicalize.canonical(Provenance.relation(majors, Output.Count), Seq("program"))
-    assert(Pipeline.shuffles(t) == 0, t.queryExecution.executedPlan)
-    assert(t.count() == 6)
+    // Strict or not, the canonical relation is one partition, so sorting it
+    // into cid order adds no exchange either.
+    val maxLen = Provenance.relation(majors.withColumn("len", length(col("degree"))), Output.Max("len"))
+    for ((t, n) <- Seq(
+        Canonicalize.canonical(Provenance.relation(majors, Output.Count), Seq("program")) -> 6,
+        Canonicalize.canonical(maxLen, Seq("program"), strict = true) -> 7)) {
+      val sorted = t.orderBy("program", "I")
+      assert(sorted.collect().length == n)
+      assert(Pipeline.shuffles(t) == 0, t.queryExecution.executedPlan)
+      assert(Pipeline.shuffles(sorted) == 0, sorted.queryExecution.executedPlan)
+    }
   }
 
   test("canonicalization matches DuckDB group-by (oracle)") {

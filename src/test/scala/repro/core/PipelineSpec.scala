@@ -88,28 +88,48 @@ class PipelineSpec extends SparkSpec {
     finally Configurator.setLevel(logger, level)
   }
 
-  test("cids follow Spark's sort order: nulls first, UTF-8 strings, -0.0 = 0.0, NaN last") {
-    val nan = Double.NaN
-    // "～" (U+FF5E) sorts before "😀" (U+1F600) in UTF-8 but after it in
-    // UTF-16. Rows that tie on the key columns differ in a later column, so
-    // the oracle's order has no ties but identical rows.
-    val rows = Seq[(String, Any, Any, String, String)](
-      ("😀", 1.0, 1.0, "u1", "x"), ("～", 1.0, 1.0, "u2", "x"), ("z", 1.0, 1.0, "u0", "x"),
-      (null, 2.0, 1.0, "u3", "a"), (null, null, 1.0, null, null), (null, null, null, "u3", null),
-      ("a", -0.0, 1.0, "u4", "c"), ("a", 0.0, 1.0, "u4", "b"), ("a", nan, 1.0, "u5", "a"),
-      ("a", 5.0, 1.0, "u6", "a"), ("a", Double.PositiveInfinity, 1.0, "u6", "a"), ("a", -1.0, 1.0, "u6", "a"),
-      ("b", 1.0, 0.0, "u7", "z"), ("b", 1.0, -0.0, "u7", "y"), ("b", 1.0, nan, "u7", "a"), ("b", 1.0, null, "u7", "a"),
-      ("c", 1.0, 1.0, "u8", "e"), ("c", 1.0, 1.0, "u8", "e"), ("c", 1.0, 1.0, null, "e"), ("c", 1.0, 1.0, "u8", null),
-      ("B", 1.0, 1.0, "u9", "e"), ("", 1.0, 1.0, "u9", "e"), ("é", 1.0, 1.0, "u9", "e"))
+  private val nan = Double.NaN
+
+  /** Rows that probe the cid order: "～" (U+FF5E) sorts before "😀"
+    * (U+1F600) in UTF-8 but after it in UTF-16. Rows that tie on the key
+    * columns differ in a later column, so the oracle's order has no ties but
+    * identical rows.
+    */
+  private val edgeRows = Seq[(String, Any, Any, String, String)](
+    ("😀", 1.0, 1.0, "u1", "x"), ("～", 1.0, 1.0, "u2", "x"), ("z", 1.0, 1.0, "u0", "x"),
+    (null, 2.0, 1.0, "u3", "a"), (null, null, 1.0, null, null), (null, null, null, "u3", null),
+    ("a", -0.0, 1.0, "u4", "c"), ("a", 0.0, 1.0, "u4", "b"), ("a", nan, 1.0, "u5", "a"),
+    ("a", 5.0, 1.0, "u6", "a"), ("a", Double.PositiveInfinity, 1.0, "u6", "a"), ("a", -1.0, 1.0, "u6", "a"),
+    ("b", 1.0, 0.0, "u7", "z"), ("b", 1.0, -0.0, "u7", "y"), ("b", 1.0, nan, "u7", "a"), ("b", 1.0, null, "u7", "a"),
+    ("c", 1.0, 1.0, "u8", "e"), ("c", 1.0, 1.0, "u8", "e"), ("c", 1.0, 1.0, null, "e"), ("c", 1.0, 1.0, "u8", null),
+    ("B", 1.0, 1.0, "u9", "e"), ("", 1.0, 1.0, "u9", "e"), ("é", 1.0, 1.0, "u9", "e"))
+
+  /** `rows` shuffled into a relation (name, num, I, uid, extra). */
+  private def edgeTable(rows: Seq[(String, Any, Any, String, String)]): DataFrame = {
     val schema = StructType(Seq(StructField("name", StringType), StructField("num", DoubleType),
       StructField("I", DoubleType), StructField("uid", StringType), StructField("extra", StringType)))
-    val df = spark.createDataFrame(
+    spark.createDataFrame(
       java.util.Arrays.asList(new scala.util.Random(3).shuffle(rows).map { case (a, b, c, d, e) => Row(a, b, c, d, e) }: _*),
       schema)
+  }
+
+  test("cids follow Spark's sort order: nulls first, UTF-8 strings, -0.0 = 0.0, NaN last") {
+    val df = edgeTable(edgeRows)
     val expected = withSevenPartitions(windowCidRows(df, Seq("name", "num"))).map(_.toString).toSeq
-    assert(expected.size == rows.size)
+    assert(expected.size == edgeRows.size)
     for (input <- Seq(df, df.repartition(3), df.orderBy(col("extra").desc)))
       assert(Pipeline.withCid(input, Seq("name", "num")).orderBy("cid").collect().map(_.toString).toSeq == expected)
+  }
+
+  test("prepare gives its tuples in the reference cid order") {
+    val df = edgeTable(edgeRows.filter(_._3 != null))
+    // Key values as prepare collects them: strings, a null one empty.
+    def str(v: Any) = if (v == null) "" else v.toString
+    val expected = windowCidRows(df, Seq("name", "num")).toSeq.map(r =>
+      (Seq(str(r.get(0)), str(r.get(1))), Stage1Digest.bits(r.getDouble(2)), str(r.get(4))))
+    val p = Pipeline.prepare(df, df.repartition(3), Seq(KeyAttr("name"), KeyAttr("num", numeric = true)), Phi.Equiv)
+    for (ts <- Seq(p.inst.t1, p.inst.t2))
+      assert(ts.map(t => (t.key, Stage1Digest.bits(t.impact), t.attrs("extra"))) == expected)
   }
 
   test("a null numeric matching value scores 0 instead of failing stage 1") {

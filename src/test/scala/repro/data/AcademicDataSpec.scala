@@ -98,6 +98,18 @@ class AcademicDataSpec extends SparkSpec {
     assert(s.size < targets.size, s"|E_S|=${s.size} must compress |E|=${targets.size}")
   }
 
+  test("Figure 4's UMass row counts the matches prepare keeps at the Academic floor") {
+    import repro.core.Pipeline
+    import repro.core.Similarity.KeyAttr
+    import repro.eval.Experiments
+    val row = Experiments.academicStats(spark).head
+    assert(row.startsWith(AcademicData.UMass.univName), row)
+    val (l, r) = Experiments.academicPair(spark, AcademicData.UMass)
+    val m = Pipeline.prepare(l, r, Seq(KeyAttr("name")), Phi.LessGeneral, simFloor = Experiments.AcademicSimFloor)
+      .inst.matches.size
+    assert(row.contains(s" |M|=$m "), row)
+  }
+
   test("the NCES Stats table includes other universities' rows") {
     val (_, stats) = AcademicData.ncesTables(spark, AcademicData.UMass)
     assert(stats.count() > 5000)

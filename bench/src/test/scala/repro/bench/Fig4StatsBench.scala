@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.{ImdbData, ImdbQueries}
 import repro.eval.Experiments
 
 /** Figure 4 (the evaluation section's dataset-statistics table): N, |P|,
@@ -25,11 +24,6 @@ class Fig4StatsBench extends SparkSpec {
 
   test("Figure 4: IMDb dataset statistics (scaled)") {
     println("=== Figure 4 (IMDb, scaled generator) ===")
-    val v = ImdbData.views(spark, ImdbData.Config(movies = 2000, actors = 2400, directors = 600))
-    for (q <- ImdbQueries.all(v, year = 1990, genre = "comedy")) {
-      val lp = q.left.count(); val rp = q.right.count()
-      println(Experiments.statsRow(q.name, q.left, q.right, q.attrs, q.phi, lp, rp,
-        solverCfg = repro.core.ExplainSolver.Config(timeLimitMs = 30000)))
-    }
+    Experiments.imdbStats(spark).foreach(println)
   }
 }

@@ -1,8 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.ExplainSolver
-import repro.data.{ImdbData, ImdbQueries, SyntheticGen}
+import repro.data.{ImdbData, SyntheticGen}
 import repro.eval.Experiments
 
 /** Spark-submit entrypoints, one per evaluation artifact. Each builds its
@@ -27,12 +26,7 @@ object DatasetStats {
     println("IMDb          : (title, release_year) ≡ (title, release_year)")
     println("              : (firstname+lastname, gender, dob) ≡ (name, gender, dob)")
     println("\n=== Figure 4: dataset statistics ===")
-    Experiments.academicStats(spark).foreach(println)
-    val v = ImdbData.views(spark, ImdbData.Config(movies = 2000, actors = 2400, directors = 600))
-    for (q <- ImdbQueries.all(v, year = 1990, genre = "comedy")) {
-      println(Experiments.statsRow(q.name, q.left, q.right, q.attrs, q.phi,
-        q.left.count(), q.right.count()))
-    }
+    (Experiments.academicStats(spark) ++ Experiments.imdbStats(spark)).foreach(println)
     spark.stop()
   }
 }
@@ -63,20 +57,14 @@ object ImdbEval {
 object SyntheticEval {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("explain3d-synthetic")
-    val solverCfg = ExplainSolver.Config(timeLimitMs = 120000)
-    val batches = Seq(100, 1000)
-    println("--- sweep n (d=0.2, v=1000) ---")
-    for (n <- Seq(100, 300, 1000, 3000, 10000))
-      println(Experiments.renderSynthetic(
-        Experiments.syntheticPoint(spark, SyntheticGen.Config(n = n), batches, solverCfg)))
-    println("--- sweep d (n=1000, v=1000) ---")
-    for (d <- Seq(0.1, 0.2, 0.3, 0.4, 0.5))
-      println(Experiments.renderSynthetic(
-        Experiments.syntheticPoint(spark, SyntheticGen.Config(n = 1000, d = d), batches, solverCfg)))
-    println("--- sweep v (n=1000, d=0.2) ---")
-    for (v <- Seq(100, 300, 1000, 3000, 10000))
-      println(Experiments.renderSynthetic(
-        Experiments.syntheticPoint(spark, SyntheticGen.Config(n = 1000, v = v), batches, solverCfg)))
+    val sweeps = Seq(
+      "n (d=0.2, v=1000)" -> Seq(100, 300, 1000, 3000, 10000).map(n => SyntheticGen.Config(n = n)),
+      "d (n=1000, v=1000)" -> Seq(0.1, 0.2, 0.3, 0.4, 0.5).map(d => SyntheticGen.Config(n = 1000, d = d)),
+      "v (n=1000, d=0.2)" -> Seq(100, 300, 1000, 3000, 10000).map(v => SyntheticGen.Config(n = 1000, v = v)))
+    for ((axis, cfgs) <- sweeps) {
+      println(s"--- sweep $axis ---")
+      cfgs.foreach(c => println(Experiments.render(Experiments.syntheticPoint(spark, c)) + "\n"))
+    }
     spark.stop()
   }
 }

@@ -36,11 +36,6 @@ object AcademicData {
       nRightOnly: Int,
       nAssocUnmatched: Int,
       nDecoyPairs: Int,
-      hardRenameFrac: Double = 0.15,
-      softRenameFrac: Double = 0.35,
-      valueOneFrac: Double = 0.8,
-      singletonCorruptFrac: Double = 0.10,
-      nOtherUnivPrograms: Int = 5000,
       seed: Long = 11,
   ) {
     require(nMatchedLeft + nAssocUnmatched <= nCanonLeft)
@@ -57,6 +52,15 @@ object AcademicData {
   val OSU: Config = Config("OSU", nCanonLeft = 206, nDoubleDegree = 76,
     nMatchedLeft = 140, nGroupsOf2 = 13, nRightOnly = 26, nAssocUnmatched = 40,
     nDecoyPairs = 20, seed = 23)
+
+  // Shares of single programs hard- and soft-renamed, of double-degree
+  // groups that NCES counts once per major, and of single-degree counts
+  // inflated by 1–2; and the other universities' rows in the Stats table.
+  private val HardRenameFrac = 0.15
+  private val SoftRenameFrac = 0.35
+  private val ValueOneFrac = 0.8
+  private val SingletonCorruptFrac = 0.10
+  private val NOtherUnivPrograms = 5000
 
   private val fields = Vector(
     "computer", "electrical", "mechanical", "civil", "chemical", "industrial",
@@ -176,9 +180,9 @@ object AcademicData {
       // True bachelor-degree count = total left degree rows in the group.
       val trueCount = members.map(i => leftDegrees(i).size).sum.toDouble
       val hasDouble = members.exists(doubleSet.contains)
-      if (hasDouble && rnd.nextDouble() < cfg.valueOneFrac)
+      if (hasDouble && rnd.nextDouble() < ValueOneFrac)
         members.size.toDouble // each major counted once: the paper's CS case
-      else if (allowCorrupt && !hasDouble && rnd.nextDouble() < cfg.singletonCorruptFrac)
+      else if (allowCorrupt && !hasDouble && rnd.nextDouble() < SingletonCorruptFrac)
         trueCount + 1 + rnd.nextInt(2)
       else trueCount
     }
@@ -198,12 +202,12 @@ object AcademicData {
       emit(Seq(nPaired + 2 * p), softRename(leftNames(nPaired + 2 * p)), allowCorrupt = false)
       emit(Seq(nPaired + 2 * p + 1), leftNames(nPaired + 2 * p + 1))
     }
-    // Remaining singles: exact / soft / hard renamed per the config fractions.
+    // Remaining singles: exact / soft / hard renamed per the fractions above.
     for (i <- (nPaired + nDecoy) until cfg.nMatchedLeft) {
       val r = rnd.nextDouble()
       val program =
-        if (r < cfg.hardRenameFrac) hardRename(leftNames(i))
-        else if (r < cfg.hardRenameFrac + cfg.softRenameFrac) softRename(leftNames(i))
+        if (r < HardRenameFrac) hardRename(leftNames(i))
+        else if (r < HardRenameFrac + SoftRenameFrac) softRename(leftNames(i))
         else leftNames(i)
       emit(Seq(i), program)
     }
@@ -233,7 +237,7 @@ object AcademicData {
 
   /** The right tables: `School(ID, Univ_name, City, Url)` and
     * `Stats(ID, Program, bach_degr)` (+ uid). The Stats table also carries
-    * `nOtherUnivPrograms` rows for other universities (Figure 4's NCES side
+    * `NOtherUnivPrograms` rows for other universities (Figure 4's NCES side
     * is 239K rows of which only this university's survive the selection).
     */
   def ncesTables(spark: SparkSession, cfg: Config): (DataFrame, DataFrame) = {
@@ -246,7 +250,7 @@ object AcademicData {
       (univId, cfg.univName, "Springfield", s"https://${cfg.univName.toLowerCase}.edu"),
       (2L, "Other University", "Elsewhere", "https://other.edu"),
     ).toDF("ID", "Univ_name", "City", "Url")
-    val others = spark.range(cfg.nOtherUnivPrograms).select(
+    val others = spark.range(NOtherUnivPrograms).select(
       lit(2L).as("ID"),
       concat(lit("program "), col("id")).as("Program"),
       (pmod(hash(col("id"), lit(cfg.seed)), lit(5)) + 1).cast("double").as("bach_degr"),

@@ -16,12 +16,17 @@ import repro.data.ImdbData.Views
   */
 object ImdbQueries {
 
+  /** A template's two canonical relations (`left`, `right`) and the
+    * provenance relations they consolidate (`leftProv`, `rightProv`).
+    */
   final case class QueryPair(
       name: String,
       left: DataFrame,
       right: DataFrame,
       attrs: Seq[KeyAttr],
-      phi: Phi = Phi.Equiv,
+      phi: Phi,
+      leftProv: DataFrame,
+      rightProv: DataFrame,
   )
 
   val movieAttrs: Seq[KeyAttr] = Seq(KeyAttr("title"), KeyAttr("release_year", numeric = true))
@@ -41,12 +46,18 @@ object ImdbQueries {
   private def movieCols(df: DataFrame): DataFrame =
     df.select(col("title"), col("release_year"), col("uid"))
 
-  private def canon(filtered: DataFrame, out: Output, attrs: Seq[KeyAttr]): DataFrame = {
-    val prov = Provenance.relation(filtered, out)
-    // Leftover columns (e.g. genre/country) ride along for summarization.
-    val extras = prov.columns.toSeq
-      .diff(attrs.map(_.name) ++ Seq("I", "uid") ++ out.column.toSeq)
-    Canonicalize.canonical(prov, attrs.map(_.name), out.strict, extras)
+  /** Both sides' provenance relations under `out` and their canonical
+    * relations.
+    */
+  private def pair(name: String, l: DataFrame, r: DataFrame, out: Output, attrs: Seq[KeyAttr]): QueryPair = {
+    def canon(prov: DataFrame): DataFrame = {
+      // Leftover columns (e.g. genre/country) ride along for summarization.
+      val extras = prov.columns.toSeq
+        .diff(attrs.map(_.name) ++ Seq("I", "uid") ++ out.column.toSeq)
+      Canonicalize.canonical(prov, attrs.map(_.name), out.strict, extras)
+    }
+    val (lp, rp) = (Provenance.relation(l, out), Provenance.relation(r, out))
+    QueryPair(name, canon(lp), canon(rp), attrs, Phi.Equiv, lp, rp)
   }
 
   /** Q1: actors cast in short movies released in ⟨year⟩. View 2 cannot
@@ -61,10 +72,8 @@ object ImdbQueries {
       .join(v.movie2.filter(col("release_year") === year).select("m_id"), "m_id")
       .join(info(v, "runtimes").filter(col("info").cast("double") < ShortRuntime).select("m_id"), "m_id")
       .join(v.person2, "p_id")
-    QueryPair(s"Q1($year)",
-      canon(personCols1(l), Output.NonAggregate, personAttrs),
-      canon(r.select(col("name"), col("gender"), col("dob"), col("uid")), Output.NonAggregate, personAttrs),
-      personAttrs)
+    pair(s"Q1($year)", personCols1(l), r.select(col("name"), col("gender"), col("dob"), col("uid")),
+      Output.NonAggregate, personAttrs)
   }
 
   /** Q2: movies directed by someone born in ⟨year⟩ (View 2: any linked
@@ -77,10 +86,7 @@ object ImdbQueries {
     val r = v.moviePerson2
       .join(v.person2.filter(col("dob") === year).select("p_id"), "p_id")
       .join(v.movie2, "m_id")
-    QueryPair(s"Q2($year)",
-      canon(movieCols(l), Output.NonAggregate, movieAttrs),
-      canon(movieCols(r), Output.NonAggregate, movieAttrs),
-      movieAttrs)
+    pair(s"Q2($year)", movieCols(l), movieCols(r), Output.NonAggregate, movieAttrs)
   }
 
   /** Q3: number of comedy movies released in ⟨year⟩ (View 1 only knows each
@@ -90,10 +96,7 @@ object ImdbQueries {
     val l = v.movie1.filter(col("release_year") === year && col("genre") === "comedy")
     val r = v.movie2.filter(col("release_year") === year)
       .join(info(v, "genre").filter(col("info") === "comedy").select("m_id"), "m_id")
-    QueryPair(s"Q3($year)",
-      canon(movieCols(l), Output.Count, movieAttrs),
-      canon(movieCols(r), Output.Count, movieAttrs),
-      movieAttrs)
+    pair(s"Q3($year)", movieCols(l), movieCols(r), Output.Count, movieAttrs)
   }
 
   /** Q4: number of movies released in the US in ⟨year⟩. */
@@ -101,10 +104,7 @@ object ImdbQueries {
     val l = v.movie1.filter(col("release_year") === year && col("country") === "usa")
     val r = v.movie2.filter(col("release_year") === year)
       .join(info(v, "country").filter(col("info") === "usa").select("m_id"), "m_id")
-    QueryPair(s"Q4($year)",
-      canon(movieCols(l), Output.Count, movieAttrs),
-      canon(movieCols(r), Output.Count, movieAttrs),
-      movieAttrs)
+    pair(s"Q4($year)", movieCols(l), movieCols(r), Output.Count, movieAttrs)
   }
 
   private def grossPair(v: Views, year: Int, out: Output, nm: String): QueryPair = {
@@ -114,7 +114,7 @@ object ImdbQueries {
     val r = v.movie2.filter(col("release_year") === year)
       .join(info(v, "gross"), "m_id")
       .select(col("title"), col("release_year"), col("info").cast("double").as("gross"), col("uid"))
-    QueryPair(nm, canon(l, out, movieAttrs), canon(r, out, movieAttrs), movieAttrs)
+    pair(nm, l, r, out, movieAttrs)
   }
 
   /** Q5: total gross value for movies released in ⟨year⟩. */
@@ -141,7 +141,7 @@ object ImdbQueries {
     val r = v.movie2.filter(col("release_year") === year)
       .join(info(v, "runtimes"), "m_id")
       .select(col("title"), col("release_year"), col("info").cast("double").as("runtimes"), col("uid"))
-    QueryPair(nm, canon(l, out, movieAttrs), canon(r, out, movieAttrs), movieAttrs)
+    pair(nm, l, r, out, movieAttrs)
   }
 
   /** Q10: actresses who have not starred in any ⟨genre⟩ movies (View 2
@@ -158,10 +158,8 @@ object ImdbQueries {
     val r = v.person2.filter(col("gender") === "F")
       .join(v.moviePerson2.join(genreMovies2, "m_id").select("p_id"),
         Seq("p_id"), "left_anti")
-    QueryPair(s"Q10($genre)",
-      canon(personCols1(l), Output.NonAggregate, personAttrs),
-      canon(r.select(col("name"), col("gender"), col("dob"), col("uid")), Output.NonAggregate, personAttrs),
-      personAttrs)
+    pair(s"Q10($genre)", personCols1(l), r.select(col("name"), col("gender"), col("dob"), col("uid")),
+      Output.NonAggregate, personAttrs)
   }
 
   /** All 10 templates at one instantiation parameter. */

@@ -1,10 +1,9 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.baselines._
 import repro.core.{ExplainSolver, Pipeline, Summarize}
-import repro.core.Model.{Phi, SolveStats}
+import repro.core.Model.Phi
 import repro.core.Similarity.KeyAttr
 import repro.data._
 
@@ -21,15 +20,12 @@ object Experiments {
     */
   val RSwooshMaxTuples = 4000
 
-  /** The evaluated algorithm roster of Section 5.1.3. */
-  final case class Roster(
-      solverCfg: ExplainSolver.Config = ExplainSolver.Config(),
-      batchSizes: Seq[Int] = Seq(100),
-  ) {
-    def algorithms: Seq[Algorithm] =
-      Seq(FormalExp(15), RSwoosh(0.75), Threshold(0.9), Greedy, ExactCover) ++
-        batchSizes.map(b => Explain3DBatch(b, solverCfg)) :+ Explain3DNoOpt(solverCfg)
-  }
+  /** The algorithms of Section 5.1.3, run on every Fig-6/7 pair. */
+  val Algorithms: Seq[Algorithm] = Seq(FormalExp(15), RSwoosh(0.75), Threshold(0.9), Greedy, ExactCover,
+    Explain3DBatch(100), Explain3DNoOpt())
+
+  /** Figure 8's algorithms, timed in this order. */
+  val SyntheticAlgorithms: Seq[Algorithm] = Seq(Explain3DNoOpt(), Explain3DBatch(100), Explain3DBatch(1000))
 
   final case class PairRun(
       pairName: String,
@@ -39,24 +35,29 @@ object Experiments {
       skipped: Seq[String],
   )
 
-  /** Prepares a pair and runs the full roster on it. */
-  def runPair(
+  /** Prepares a pair and runs `algorithms` on it in order. With `warmUp`,
+    * each runs once untimed before the timed runs, so the JIT warm-up they
+    * share is not charged to the first one timed.
+    */
+  private def runPair(
       name: String,
       leftCanon: DataFrame,
       rightCanon: DataFrame,
       attrs: Seq[KeyAttr],
       phi: Phi,
-      roster: Roster,
+      algorithms: Seq[Algorithm],
       simFloor: Double = 0.0,
+      warmUp: Boolean = false,
   ): PairRun = {
     val t0 = System.nanoTime()
     val pair = Pipeline.prepare(leftCanon, rightCanon, attrs, phi, simFloor = simFloor)
     val prepMs = (System.nanoTime() - t0) / 1000000
     val nT = pair.inst.t1.size + pair.inst.t2.size
-    val (run, skip) = roster.algorithms.partition {
+    val (run, skip) = algorithms.partition {
       case _: RSwoosh => nT <= RSwooshMaxTuples
       case _          => true
     }
+    if (warmUp) run.foreach(a => Harness.run(a, pair, name))
     PairRun(name, prepMs, pair.stats, run.map(a => Harness.run(a, pair, name)),
       skip.map(_.name))
   }
@@ -86,10 +87,10 @@ object Experiments {
     */
   val AcademicSimFloor = 0.4
 
-  def academic(spark: SparkSession, roster: Roster = Roster()): Seq[PairRun] =
+  def academic(spark: SparkSession): Seq[PairRun] =
     Seq(AcademicData.UMass, AcademicData.OSU).map { cfg =>
       val (l, r) = academicPair(spark, cfg)
-      runPair(s"${cfg.univName}-NCES", l, r, Seq(KeyAttr("name")), Phi.LessGeneral, roster,
+      runPair(s"${cfg.univName}-NCES", l, r, Seq(KeyAttr("name")), Phi.LessGeneral, Algorithms,
         simFloor = AcademicSimFloor)
     }
 
@@ -103,14 +104,13 @@ object Experiments {
       cfg: ImdbData.Config,
       years: Seq[Int],
       genres: Seq[String],
-      roster: Roster = Roster(),
   ): Seq[PairRun] = {
     val v = ImdbData.views(spark, cfg)
     val perTemplate = scala.collection.mutable.Map.empty[String, Vector[PairRun]]
     for ((year, genre) <- years.zip(genres)) {
       for (q <- ImdbQueries.all(v, year, genre)) {
         val template = q.name.takeWhile(_ != '(')
-        val run = runPair(q.name, q.left, q.right, q.attrs, q.phi, roster)
+        val run = runPair(q.name, q.left, q.right, q.attrs, q.phi, Algorithms)
         perTemplate(template) = perTemplate.getOrElse(template, Vector.empty) :+ run
       }
     }
@@ -129,46 +129,14 @@ object Experiments {
 
   // ---------------------------------------------------------------- Fig 8
 
-  final case class SyntheticPoint(
-      n: Int, d: Double, v: Int,
-      algorithm: String, solveMillis: Long, explF1: Double, evidF1: Double, proved: Boolean,
-      stats: SolveStats = SolveStats())
-
-  /** One Fig-8 measurement: solve time (match generation excluded, as in the
-    * paper) of NOOPT and the given batch sizes on one generator setting,
-    * each run through [[Harness.run]]. Every row runs once untimed before
-    * the timed runs, so the JIT warm-up the rows share is not charged to
-    * NOOPT, which is timed first.
+  /** One Fig-8 point: the pair `cfg` generates, with the solve time (match
+    * generation excluded, as in the paper) of each of
+    * [[SyntheticAlgorithms]], after an untimed warm-up run of each.
     */
-  def syntheticPoint(
-      spark: SparkSession,
-      cfg: SyntheticGen.Config,
-      batchSizes: Seq[Int],
-      solverCfg: ExplainSolver.Config,
-  ): Seq[SyntheticPoint] = {
-    val pair = Pipeline.prepare(
-      SyntheticGen.canonicalSide(spark, cfg, 1),
-      SyntheticGen.canonicalSide(spark, cfg, 2),
-      Seq(KeyAttr("match_attr")), Phi.Equiv)
-    val algos = ("NOOPT" -> Explain3DNoOpt(solverCfg)) +:
-      batchSizes.map(b => s"BATCH-$b" -> Explain3DBatch(b, solverCfg))
-    algos.foreach { case (nm, algo) => Harness.run(algo, pair, nm) }
-    algos.map { case (nm, algo) =>
-      val r = Harness.run(algo, pair, nm)
-      SyntheticPoint(cfg.n, cfg.d, cfg.v, nm, r.solveMillis, r.explanation.f1, r.evidence.f1, r.proved,
-        r.stats.getOrElse(SolveStats()))
-    }
-  }
-
-  /** One line per point, with its solve stats; a capped or timed-out
-    * solve is marked UNPROVED at the end.
-    */
-  def renderSynthetic(points: Seq[SyntheticPoint]): String =
-    points.map { p =>
-      f"n=${p.n}%-6d d=${p.d}%.1f v=${p.v}%-6d ${p.algorithm}%-12s " +
-        f"solve=${p.solveMillis}%6dms  explF1=${p.explF1}%.3f evidF1=${p.evidF1}%.3f" +
-        s"  [${p.stats}]" + (if (p.proved) "" else "  UNPROVED")
-    }.mkString("\n")
+  def syntheticPoint(spark: SparkSession, cfg: SyntheticGen.Config): PairRun =
+    runPair(s"n=${cfg.n} d=${cfg.d} v=${cfg.v}",
+      SyntheticGen.canonicalSide(spark, cfg, 1), SyntheticGen.canonicalSide(spark, cfg, 2),
+      Seq(KeyAttr("match_attr")), Phi.Equiv, SyntheticAlgorithms, warmUp = true)
 
   // ---------------------------------------------------------------- Fig 4
 
@@ -183,8 +151,18 @@ object Experiments {
         simFloor = AcademicSimFloor)
     }
 
+  /** Figure 4's IMDb rows: the 10 templates at one instantiation of the
+    * scaled generator, |P| counting each side's provenance relation.
+    */
+  def imdbStats(spark: SparkSession): Seq[String] = {
+    val v = ImdbData.views(spark, ImdbData.Config(movies = 2000, actors = 2400, directors = 600))
+    ImdbQueries.all(v, year = 1990, genre = "comedy").map { q =>
+      statsRow(q.name, q.left, q.right, q.attrs, q.phi, q.leftProv.count(), q.rightProv.count())
+    }
+  }
+
   /** Figure 4-style statistics for one pair, including |E| → |E_S|. */
-  def statsRow(
+  private def statsRow(
       name: String,
       leftCanon: DataFrame,
       rightCanon: DataFrame,
@@ -192,11 +170,10 @@ object Experiments {
       phi: Phi,
       leftProv: Long,
       rightProv: Long,
-      solverCfg: ExplainSolver.Config = ExplainSolver.Config(),
       simFloor: Double = 0.0,
   ): String = {
     val pair = Pipeline.prepare(leftCanon, rightCanon, attrs, phi, simFloor = simFloor)
-    val sol = ExplainSolver.solve(pair.inst, solverCfg)
+    val sol = ExplainSolver.solve(pair.inst)
     val e = sol.explanations
     val nE = e.delta.size + e.values.size
     // Stage 3: summarize over every attribute the tuples carry (matching

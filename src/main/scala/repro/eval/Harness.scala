@@ -22,13 +22,16 @@ object Harness {
       solveMillis: Long,
       proved: Boolean = true,
       stats: Option[SolveStats] = None,
+      objective: Option[Double] = None,
   ) {
-    /** A solver-backed row shows its solve stats; a capped or timed-out
-      * solve is marked UNPROVED at the end.
+    /** A solver-backed row shows its objective (the solution's log
+      * probability) and solve stats; a capped or timed-out solve is marked
+      * UNPROVED at the end.
       */
     def row: String =
       f"$pair%-12s $algorithm%-22s  expl[$explanation]  evid[$evidence]  ${solveMillis}ms" +
-        stats.fold("")(s => s"  [$s]") + (if (proved) "" else "  UNPROVED")
+        objective.fold("")(o => f"  obj=$o%.4f") + stats.fold("")(s => s"  [$s]") +
+        (if (proved) "" else "  UNPROVED")
   }
 
   /** Runs `algo` on the pair. Only a solver-backed algorithm can be
@@ -39,11 +42,11 @@ object Harness {
     */
   def run(algo: Algorithm, pair: PreparedPair, pairName: String): AlgoResult = {
     val t0 = System.nanoTime()
-    val (e, proved, stats) = algo match {
+    val (e, proved, stats, objective) = algo match {
       case s: SolverBacked =>
         val sol = s.solve(pair.inst)
-        (sol.explanations, sol.proved, Some(sol.stats))
-      case _ => (algo.derive(pair.inst), true, None)
+        (sol.explanations, sol.proved, Some(sol.stats), Some(sol.logProb))
+      case _ => (algo.derive(pair.inst), true, None, None)
     }
     val ms = (System.nanoTime() - t0) / 1000000
     if (algo.isInstanceOf[SolverBacked])
@@ -52,7 +55,7 @@ object Harness {
       }
     val expl = Metrics.prf(Metrics.explanationItems(e, pair.keyOf), pair.gold.explanations)
     val evid = Metrics.prf(Metrics.evidenceItems(e, pair.keyOf), pair.gold.evidence)
-    AlgoResult(algo.name, pairName, expl, evid, ms, proved, stats)
+    AlgoResult(algo.name, pairName, expl, evid, ms, proved, stats, objective)
   }
 
   /** Arithmetic mean of results across pairs (used for the IMDb templates,
@@ -66,6 +69,7 @@ object Harness {
     )
     AlgoResult(rs.head.algorithm, name, avgPrf(_.explanation), avgPrf(_.evidence),
       rs.map(_.solveMillis).sum / rs.size, rs.forall(_.proved),
-      if (rs.forall(_.stats.nonEmpty)) Some(SolveStats.mean(rs.flatMap(_.stats))) else None)
+      if (rs.forall(_.stats.nonEmpty)) Some(SolveStats.mean(rs.flatMap(_.stats))) else None,
+      if (rs.forall(_.objective.nonEmpty)) Some(rs.flatMap(_.objective).sum / rs.size) else None)
   }
 }

@@ -19,6 +19,16 @@ class ImdbQueriesSpec extends SparkSpec {
     }
   }
 
+  test("provenance has at least the canonical relation's rows, and Q1's has more") {
+    for (q <- ImdbQueries.all(v, year = 1990, genre = "comedy")) {
+      assert(q.leftProv.count() >= q.left.count(), s"${q.name} left")
+      assert(q.rightProv.count() >= q.right.count(), s"${q.name} right")
+    }
+    // One Q1 provenance row per (person, short movie), one canonical row per person.
+    val q1 = ImdbQueries.q1(v, 1990)
+    assert(q1.leftProv.count() > q1.left.count() || q1.rightProv.count() > q1.right.count())
+  }
+
   test("movie queries key on (title, release_year), person queries on person attrs") {
     val q3 = ImdbQueries.q3(v, 1990)
     assert(q3.attrs.map(_.name) == Seq("title", "release_year"))

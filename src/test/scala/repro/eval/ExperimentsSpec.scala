@@ -8,7 +8,7 @@ import repro.eval.Metrics.PRF
 class ExperimentsSpec extends AnyFunSuite {
 
   test("roster contains the paper's algorithm lineup") {
-    val names = Experiments.Roster().algorithms.map(_.name)
+    val names = Experiments.Algorithms.map(_.name)
     assert(names.contains("FORMALEXP-Top15"))
     assert(names.contains("RSWOOSH-0.75"))
     assert(names.contains("THRESHOLD-0.9"))
@@ -16,6 +16,8 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(names.contains("EXACTCOVER"))
     assert(names.contains("EXPLAIN3D-BATCH-100"))
     assert(names.contains("EXPLAIN3D-NOOPT"))
+    assert(Experiments.SyntheticAlgorithms.map(_.name) ==
+      Seq("EXPLAIN3D-NOOPT", "EXPLAIN3D-BATCH-100", "EXPLAIN3D-BATCH-1000"))
   }
 
   test("render includes stats header, result rows and DNF markers") {
@@ -54,43 +56,58 @@ class ExperimentsSpec extends AnyFunSuite {
   private val nooptStats = SolveStats(1, 4000, 0, 0.0, 0.012, 0.25)
   private val batchStats = SolveStats(37, 310, 96, 0.041, 0.008, 0.0312)
 
+  // A Fig 8 point is a PairRun printed by render, like a Fig 6/7 pair; the
+  // two tests below keep the names they had when Fig 8 had its own renderer.
+  private val fig8Name = "n=5000 d=0.2 v=1000"
+
+  private def fig8Point(nooptProved: Boolean): Experiments.PairRun = {
+    def result(algorithm: String, ms: Long, stats: SolveStats, proved: Boolean = true) =
+      Harness.AlgoResult(algorithm, fig8Name, PRF(1, 1, 1), PRF(1, 1, 1), ms, proved, Some(stats), Some(-812.25))
+    Experiments.PairRun(fig8Name, 850, PairStats(4012, 3987, 499813), Seq(
+      result("EXPLAIN3D-NOOPT", 120000, nooptStats, proved = nooptProved),
+      result("EXPLAIN3D-BATCH-100", 800, batchStats),
+      result("EXPLAIN3D-BATCH-1000", 900, batchStats)), Nil)
+  }
+
   test("renderSynthetic formats one line per point") {
-    val pts = Seq(
-      Experiments.SyntheticPoint(100, 0.2, 1000, "NOOPT", 12, 1.0, 1.0, proved = true, nooptStats),
-      Experiments.SyntheticPoint(100, 0.2, 1000, "BATCH-100", 5, 0.99, 1.0, proved = true, batchStats))
-    val s = Experiments.renderSynthetic(pts)
-    assert(s.linesIterator.size == 2)
-    assert(s.contains("NOOPT") && s.contains("BATCH-100"))
-    assert(!s.contains("UNPROVED"))
-    assert(s.linesIterator.toSeq(1).endsWith(
-      "[37 components (largest 310 matches), 96 cut; split 0.041s, set-up 0.008s, search 0.031s]"))
+    val lines = Experiments.render(fig8Point(nooptProved = true)).linesIterator.toSeq
+    assert(lines.size == 1 + Experiments.SyntheticAlgorithms.size)
+    assert(lines.head.startsWith(
+      s"== $fig8Name: |T1|=4012 |T2|=3987 |M_tuple|=499813 (match generation 850ms; stage 1: tuples"), lines.head)
+    assert(lines.tail.map(_.split(" +")(3)) == Experiments.SyntheticAlgorithms.map(_.name))
+    assert(lines.forall(!_.contains("UNPROVED")))
+    assert(lines(2).endsWith("obj=-812.2500  [37 components (largest 310 matches), 96 cut; " +
+      "split 0.041s, set-up 0.008s, search 0.031s]"), lines(2))
   }
 
   test("renderSynthetic marks unproved points") {
-    val pts = Seq(
-      Experiments.SyntheticPoint(5000, 0.2, 1000, "NOOPT", 90000, 0.9, 0.9, proved = false, nooptStats),
-      Experiments.SyntheticPoint(5000, 0.2, 1000, "BATCH-100", 800, 1.0, 1.0, proved = true, batchStats))
-    val lines = Experiments.renderSynthetic(pts).linesIterator.toSeq
-    assert(lines(0).contains("NOOPT") && lines(0).endsWith(
-      "  [1 components (largest 4000 matches), 0 cut; split 0.000s, set-up 0.012s, search 0.250s]  UNPROVED"))
-    assert(!lines(1).contains("UNPROVED"))
+    val lines = Experiments.render(fig8Point(nooptProved = false)).linesIterator.toSeq
+    assert(lines(1).contains("EXPLAIN3D-NOOPT") && lines(1).endsWith(
+      "obj=-812.2500  [1 components (largest 4000 matches), 0 cut; " +
+        "split 0.000s, set-up 0.012s, search 0.250s]  UNPROVED"), lines(1))
+    assert(lines.count(_.contains("UNPROVED")) == 1)
   }
 
   test("a solver-backed row ends with its solve stats, and averaged rows average them") {
-    val a = Harness.AlgoResult("ALGO", "p1", PRF(1, 1, 1), PRF(1, 1, 1), 7, proved = false, Some(batchStats))
-    assert(a.row.endsWith("  [37 components (largest 310 matches), 96 cut; " +
+    val a = Harness.AlgoResult("ALGO", "p1", PRF(1, 1, 1), PRF(1, 1, 1), 7, proved = false, Some(batchStats),
+      Some(-12.5))
+    assert(a.row.endsWith("7ms  obj=-12.5000  [37 components (largest 310 matches), 96 cut; " +
       "split 0.041s, set-up 0.008s, search 0.031s]  UNPROVED"), a.row)
-    val b = a.copy(pair = "p2", stats = Some(SolveStats(4, 20, 3, 0.001, 0.002, 0.0025)))
-    val m = Harness.average("t", Seq(a, b)).stats.get
+    val b = a.copy(pair = "p2", stats = Some(SolveStats(4, 20, 3, 0.001, 0.002, 0.0025)), objective = Some(-10.0))
+    val avg = Harness.average("t", Seq(a, b))
+    val m = avg.stats.get
     assert((m.components, m.largestComponent, m.cutMatches) == ((20, 310, 49)))
     assert(math.abs(m.splitS - 0.021) < 1e-12 && math.abs(m.setupS - 0.005) < 1e-12 &&
       math.abs(m.searchS - 0.01685) < 1e-12)
-    assert(Harness.average("t", Seq(a, b.copy(stats = None))).stats.isEmpty)
+    assert(avg.objective.contains(-11.25))
+    val partial = Harness.average("t", Seq(a, b.copy(stats = None, objective = None)))
+    assert(partial.stats.isEmpty && partial.objective.isEmpty)
   }
 
   test("AlgoResult row is aligned and complete") {
     val r = Harness.AlgoResult("X", "p", PRF(0.123456, 0.5, 0.2), PRF(1, 1, 1), 42)
     assert(r.row.contains("P=0.123"))
     assert(r.row.contains("42ms"))
+    assert(!r.row.contains("obj="), "a baseline row has no objective")
   }
 }

@@ -34,13 +34,15 @@ class HarnessSpec extends AnyFunSuite {
     val complete = ExplanationSet(inst.tupleById.keySet, Map.empty, Set.empty)
     val solver = new SolverBacked {
       val name = "STUB"
-      def solve(i: Instance): Solution = Solution(complete, 0.0, proved = true)
+      def solve(i: Instance): Solution = Solution(complete, -3.5, proved = true)
     }
-    assert(Harness.run(solver, pair, "fig3").proved)
+    val solved = Harness.run(solver, pair, "fig3")
+    assert(solved.proved && solved.objective.contains(-3.5))
     val baseline = new Algorithm {
       val name = "BASELINE"
       def derive(i: Instance): ExplanationSet = incomplete
     }
-    assert(Harness.run(baseline, pair, "fig3").algorithm == "BASELINE")
+    val derived = Harness.run(baseline, pair, "fig3")
+    assert(derived.algorithm == "BASELINE" && derived.objective.isEmpty)
   }
 }
